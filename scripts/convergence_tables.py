@@ -19,12 +19,10 @@ def main() -> int:
     parser.add_argument("--max", type=int, default=10**8)
     parser.add_argument("--points", type=int, default=7,
                         help="number of cutoffs, spaced by factors of 10")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     xs = [args.max // 10**i for i in range(args.points) if args.max // 10**i >= 10]
-    records = harness.asymptotic_report(args.base, sorted(set(xs)),
-                                        threads=args.threads)
+    records = harness.asymptotic_report(args.base, sorted(set(xs)))
     emit(records, "csv", sys.stdout)
     return 0
 

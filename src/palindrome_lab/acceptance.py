@@ -2,7 +2,8 @@
 
 Each criterion returns a CriterionResult with a deterministic detail string
 (no timings, reals at 12 significant digits) so reports are byte-identical
-across runs and thread counts.
+across runs. Criteria 1-9 accept a threads keyword for compatibility and
+ignore it: everything runs serially.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def criterion_mobius_identity(quick: bool = False, threads: int = 1) -> Criterio
     ok = True
     for b in (2, 3, 10):
         for x in xs:
-            direct = census.q_star_direct(b, x, threads=threads)
-            via_mobius = census.q_star_mobius(b, x, threads=threads)
+            direct = census.q_star_direct(b, x)
+            via_mobius = census.q_star_mobius(b, x)
             if direct != via_mobius:
                 ok = False
                 pieces.append(f"b={b},x={x}:direct={direct}!=mobius={via_mobius}")
@@ -63,8 +64,8 @@ def criterion_mobius_identity(quick: bool = False, threads: int = 1) -> Criterio
 
 def criterion_density_convergence(quick: bool = False, threads: int = 1) -> CriterionResult:
     x_small, x_large = (10**2, 10**6) if quick else (10**4, 10**8)
-    rec_small = census.census_up_to(10, x_small, threads=threads, check_identity=False)
-    rec_large = census.census_up_to(10, x_large, threads=threads, check_identity=False)
+    rec_small = census.census_up_to(10, x_small, check_identity=False)
+    rec_large = census.census_up_to(10, x_large, check_identity=False)
     near = abs(rec_large.ratio - DENSITY_10_TARGET) <= DENSITY_TOLERANCE
     trend = rec_large.abs_error <= rec_small.abs_error
     detail = (f"ratio({x_large})={fmt_real(rec_large.ratio)} "
@@ -247,7 +248,7 @@ def criterion_cubic_residue_bound(quick: bool = False, threads: int = 1) -> Crit
 def criterion_prop1_shape(quick: bool = False, threads: int = 1) -> CriterionResult:
     xs = (10**5, 10**6, 10**7) if quick else (10**6, 10**7, 10**8)
     ds = [math.ceil(x**0.4) for x in xs]
-    fit = harness.fit_prop1(10, xs, ds, threads=threads)
+    fit = harness.fit_prop1(10, xs, ds)
     first, last = fit.observed[0], fit.observed[-1]
     ok = last <= PROP1_GROWTH_LIMIT * first + 1e-12
     detail = ("ratios=" + ";".join(fmt_real(v) for v in fit.observed) +
@@ -272,22 +273,24 @@ def criterion_averaged_k2_stability(quick: bool = False, threads: int = 1) -> Cr
 
 # --------------------------------------------------------------------- 10
 
-def report_payload(quick: bool = True, threads: int = 1) -> str:
+def report_payload(quick: bool = True) -> str:
     """The deterministic CSV report of criteria 1-9 (used by verify-all and
     by the byte-identity determinism check)."""
-    results = [fn(quick=quick, threads=threads) for fn in _CRITERIA[:9]]
+    results = [fn(quick=quick) for fn in _CRITERIA[:9]]
     header = ["cid", "name", "passed", "detail"]
     rows = [[str(r.cid), r.name, "true" if r.passed else "false", r.detail]
             for r in results]
     return render_csv(header, rows)
 
 
-def criterion_determinism(quick: bool = True, threads: int = 1) -> CriterionResult:
-    # thread counts 1 and 8 must give byte-identical reports; the quick
-    # payload keeps the double run affordable
-    one = report_payload(quick=True, threads=1)
-    eight = report_payload(quick=True, threads=8)
-    ok = one == eight
+def criterion_determinism(quick: bool = True) -> CriterionResult:
+    # two payload runs in one process must give byte-identical reports; the
+    # second runs on warm caches (prime table, root and inverse tables), so
+    # cached state must not leak into a report. The quick payload keeps the
+    # double run affordable
+    one = report_payload(quick=True)
+    two = report_payload(quick=True)
+    ok = one == two
     detail = f"bytes={len(one)} identical={'yes' if ok else 'no'}"
     return _result(10, "determinism", ok, detail)
 
@@ -306,5 +309,5 @@ _CRITERIA = (
 )
 
 
-def run_all(quick: bool = False, threads: int = 1) -> list[CriterionResult]:
-    return [fn(quick=quick, threads=threads) for fn in _CRITERIA]
+def run_all(quick: bool = False) -> list[CriterionResult]:
+    return [fn(quick=quick) for fn in _CRITERIA]

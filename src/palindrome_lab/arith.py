@@ -231,12 +231,37 @@ def euler_phi(n: int) -> int:
 # squarefree / Mobius
 # ---------------------------------------------------------------------------
 
+# Trial division runs to min(n^(1/3), 10**6); a cofactor left below this
+# bound has no prime factor below its cube root, so at most two primes.
+_TWO_PRIME_COFACTOR_BOUND = 10**18
+
+
+def _cofactor_exponents(m: int, count_primes: bool) -> list[int]:
+    """Prime exponents of a cofactor m > 1 left by trial division.
+
+    Below _TWO_PRIME_COFACTOR_BOUND m is a prime, a prime square or a product
+    of two distinct primes; above it, a non-square composite is factored. A
+    perfect square reads as [2] without its root being split. Without
+    count_primes a square-free m below the bound reads as [1], which spares
+    a primality test when only square-freeness matters.
+    """
+    r = isqrt(m)
+    if r * r == m:
+        return [2]
+    if m < _TWO_PRIME_COFACTOR_BOUND:
+        if not count_primes:
+            return [1]
+        return [1] if is_probable_prime(m) else [1, 1]
+    if is_probable_prime(m):
+        return [1]
+    return list(factorize(m).values())
+
+
 def is_squarefree(n: int) -> bool:
     """True iff no p**2 divides n.
 
-    Strips prime factors up to the cube root; the cofactor then has at most
-    two prime factors, so a repeated factor can only survive as a perfect
-    square.
+    Strips prime factors up to the cube root (at most 10**6) and settles the
+    cofactor with _cofactor_exponents.
     """
     if n < 1:
         raise ValueError("is_squarefree requires n >= 1")
@@ -250,10 +275,7 @@ def is_squarefree(n: int) -> bool:
             n //= p
             if n % p == 0:
                 return False
-    if n == 1:
-        return True
-    r = isqrt(n)
-    return r * r != n
+    return n == 1 or max(_cofactor_exponents(n, count_primes=False)) == 1
 
 
 def mobius(n: int) -> int:
@@ -272,10 +294,10 @@ def mobius(n: int) -> int:
                 return 0
             k += 1
     if n > 1:
-        r = isqrt(n)
-        if r * r == n:
+        exponents = _cofactor_exponents(n, count_primes=True)
+        if max(exponents) > 1:
             return 0
-        k += 1 if is_probable_prime(n) else 2
+        k += len(exponents)
     return -1 if k & 1 else 1
 
 

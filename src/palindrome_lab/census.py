@@ -14,11 +14,10 @@ so that each run cross-checks the other.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import arith
 from .digits import is_palindrome
@@ -60,25 +59,18 @@ def density_constant(b: int) -> tuple[float, Fraction]:
     return ZETA2_INV * float(r), r
 
 
-def q_star_direct(b: int, x: int, threads: int = 1) -> int:
+def q_star_direct(b: int, x: int) -> int:
     """#(square-free restricted palindromes <= x), one square-free test per
     streamed element."""
-
-    def count(stream):
-        return sum(1 for n in stream if arith.is_squarefree(n))
-
-    if threads <= 1:
-        return count(stream_up_to(b, x, restricted=True))
-    parts = stream_up_to(b, x, restricted=True).split_at_prefix(16)
-    return sum(map_in_order(count, parts, threads))
+    return sum(1 for n in stream_up_to(b, x, restricted=True) if arith.is_squarefree(n))
 
 
 def _square_divisor_mobius_sum(n: int) -> int:
     """sum of mu(d) over all d with d^2 | n, via the square part of n."""
     if n < 4:
         return 1
-    # collect the primes of s = prod p^floor(a_p/2); d^2 | n iff d | s
-    square_primes = []
+    # count the primes of s = prod p^floor(a_p/2); d^2 | n iff d | s
+    square_primes = 0
     m = n
     for p in arith._primes_at_least(min(arith._icbrt(n) + 1, 10**6)):
         if p * p * p > n:
@@ -90,38 +82,32 @@ def _square_divisor_mobius_sum(n: int) -> int:
                 a += 1
                 m //= p
             if a >= 2:
-                square_primes.append(p)
+                square_primes += 1
     if m > 1:
-        r = isqrt(m)
-        if r * r == m:
-            square_primes.append(r)
+        # a square cofactor counts once even if its root is composite; the
+        # sum below only tells s = 1 from s > 1
+        square_primes += sum(1 for e in arith._cofactor_exponents(m, count_primes=False)
+                             if e >= 2)
     # mu vanishes off squarefree d, so sum over subsets of the primes of s
-    total = 0
-    for size in range(len(square_primes) + 1):
-        total += (-1) ** size * sum(1 for _ in itertools.combinations(square_primes, size))
-    return total
+    return sum((-1) ** k * math.comb(square_primes, k) for k in range(square_primes + 1))
 
 
-def q_star_mobius(b: int, x: int, threads: int = 1) -> int:
+def q_star_mobius(b: int, x: int) -> int:
     """Same census as q_star_direct, evaluated through the Mobius identity:
     each streamed palindrome contributes sum of mu(d) over its square
     divisors d^2 | n. Must agree with q_star_direct exactly."""
-
-    def count(stream):
-        return sum(_square_divisor_mobius_sum(n) for n in stream)
-
-    if threads <= 1:
-        return count(stream_up_to(b, x, restricted=True))
-    parts = stream_up_to(b, x, restricted=True).split_at_prefix(16)
-    return sum(map_in_order(count, parts, threads))
+    return sum(_square_divisor_mobius_sum(n) for n in stream_up_to(b, x, restricted=True))
 
 
 def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) -> CensusRecord:
-    """Restricted census at x with the predicted density and its error."""
+    """Restricted census at x with the predicted density and its error.
+
+    threads is accepted for compatibility and ignored: the census is serial.
+    """
     total = sum(1 for _ in stream_up_to(b, x, restricted=True))
-    squarefree = q_star_direct(b, x, threads=threads)
+    squarefree = q_star_direct(b, x)
     if check_identity:
-        via_mobius = q_star_mobius(b, x, threads=threads)
+        via_mobius = q_star_mobius(b, x)
         if via_mobius != squarefree:
             raise ArithmeticError(
                 f"mobius census identity failed at b={b}, x={x}: "
@@ -248,7 +234,8 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
 
     over restricted palindromes n. The counting function is a step function,
     so the supremum is realized at palindrome breakpoints; deviations are
-    tracked as exact integers scaled by d^2.
+    tracked as exact integers scaled by d^2. threads is accepted for
+    compatibility and ignored.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -280,5 +267,5 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
                 best_scaled = step_best
         return Fraction(best_scaled, dd)
 
-    worsts = map_in_order(worst_for, eligible, threads)
+    worsts = map_in_order(worst_for, eligible)
     return float(sum(worsts, Fraction(0)))

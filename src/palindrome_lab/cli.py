@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, census, sbd, k2, poisson, oscillate, vdc,
 discrepancy, verify-all. Reports are CSV (RFC-4180 quoting) or JSON and are
-byte-identical for identical configurations regardless of thread count; the
-PALINDROME_LAB_THREADS environment variable supplies a default thread count.
+byte-identical for identical configurations. Every subcommand accepts
+--threads for compatibility; it has no effect, since all work is serial.
 """
 
 from __future__ import annotations
@@ -12,59 +12,23 @@ import argparse
 import math
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import acceptance, census, expsum, harness, oscillate
 from .digits import to_digits
-from .parallel import resolve_threads
 from .report import emit, fmt_real
 from .streams import stream_fixed_length, stream_up_to
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    base: int | None = None
-    x: int | None = None
-    n_digits: int | None = None
-    d_dyadic: int | None = None
-    q_max: int | None = None
-    d_max: int | None = None
-    restricted: bool = False
-    threads: int = 1
-    fmt: str = "csv"
-    output: str | None = None
-    seed: int = harness.DEFAULT_SEED
-    quick: bool = False
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        base=getattr(args, "base", None),
-        x=getattr(args, "max", None),
-        n_digits=getattr(args, "digits", None),
-        d_dyadic=getattr(args, "d", None),
-        q_max=getattr(args, "q_max", None),
-        d_max=getattr(args, "d_max", None),
-        restricted=getattr(args, "restricted", False),
-        threads=resolve_threads(getattr(args, "threads", None)),
-        fmt=getattr(args, "format", "csv"),
-        output=getattr(args, "output", None),
-        seed=getattr(args, "seed", harness.DEFAULT_SEED),
-        quick=getattr(args, "quick", False),
-    )
-
-
-def _open_out(cfg: RunConfig):
-    if cfg.output:
-        return open(cfg.output, "w", encoding="utf-8", newline="")
-    return sys.stdout
-
-
-def _close_out(cfg: RunConfig, handle) -> None:
-    if cfg.output:
-        handle.close()
+@contextmanager
+def _output(args):
+    """The report destination: --output PATH, else stdout."""
+    if not args.output:
+        yield sys.stdout
+        return
+    with open(args.output, "w", encoding="utf-8", newline="") as handle:
+        yield handle
 
 
 # ---------------------------------------------------------------------------
@@ -146,72 +110,52 @@ class CriterionRecord:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    cfg = _config(args)
-    if (cfg.x is None) == (cfg.n_digits is None):
+    if (args.max is None) == (args.digits is None):
         print("enumerate: exactly one of --max/--digits is required", file=sys.stderr)
         return 2
-    if cfg.n_digits is not None:
-        stream = stream_fixed_length(cfg.base, cfg.n_digits, restricted=cfg.restricted)
+    if args.digits is not None:
+        stream = stream_fixed_length(args.base, args.digits, restricted=args.restricted)
     else:
-        stream = stream_up_to(cfg.base, cfg.x, restricted=cfg.restricted)
-    out = _open_out(cfg)
-    try:
+        stream = stream_up_to(args.base, args.max, restricted=args.restricted)
+    with _output(args) as out:
         for n in stream:
             if args.render_digits:
-                rendered = ".".join(str(d) for d in to_digits(n, cfg.base).reversed_digits())
+                rendered = ".".join(str(d) for d in to_digits(n, args.base).reversed_digits())
                 out.write(f"{n},{rendered}\n")
             else:
                 out.write(f"{n}\n")
-    finally:
-        _close_out(cfg, out)
     return 0
 
 
 def cmd_census(args) -> int:
-    cfg = _config(args)
     records = []
-    code = 0
-    if cfg.x is None and cfg.n_digits is None:
+    if args.max is None and args.digits is None:
         print("census: one of --max/--digits is required", file=sys.stderr)
         return 2
     try:
-        if cfg.x is not None:
-            if args.self_test_inject_fault:
-                direct = census.q_star_direct(cfg.base, cfg.x, threads=cfg.threads)
-                via_mobius = census.q_star_mobius(cfg.base, cfg.x, threads=cfg.threads) + 1
-                raise ArithmeticError(
-                    f"mobius census identity failed at b={cfg.base}, x={cfg.x}: "
-                    f"direct={direct} mobius={via_mobius}")
-            records.append(census.census_up_to(cfg.base, cfg.x, threads=cfg.threads))
-        if cfg.n_digits is not None:
-            records.append(census.q_fixed_length(cfg.base, cfg.n_digits))
+        if args.max is not None:
+            records.append(census.census_up_to(args.base, args.max))
+        if args.digits is not None:
+            records.append(census.q_fixed_length(args.base, args.digits))
     except ArithmeticError as exc:
         print(f"census: {exc}", file=sys.stderr)
         return 1
-    out = _open_out(cfg)
-    try:
-        emit(records, cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
-    return code
+    with _output(args) as out:
+        emit(records, args.format, out)
+    return 0
 
 
 def cmd_sbd(args) -> int:
-    cfg = _config(args)
-    via_stream = census.s_b(cfg.base, cfg.x, cfg.d_dyadic, strategy="stream")
-    via_multiples = census.s_b(cfg.base, cfg.x, cfg.d_dyadic, strategy="multiples")
-    rec = SbdRecord(base=cfg.base, x=cfg.x, d_dyadic=cfg.d_dyadic,
+    via_stream = census.s_b(args.base, args.max, args.d, strategy="stream")
+    via_multiples = census.s_b(args.base, args.max, args.d, strategy="multiples")
+    rec = SbdRecord(base=args.base, x=args.max, d_dyadic=args.d,
                     count_stream=via_stream, count_multiples=via_multiples)
-    out = _open_out(cfg)
-    try:
-        emit([rec], cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
+    with _output(args) as out:
+        emit([rec], args.format, out)
     return 0 if via_stream == via_multiples else 1
 
 
 def cmd_k2(args) -> int:
-    cfg = _config(args)
     params = expsum.ExpSumParams(args.a1, args.a2, args.a3, args.q, args.c)
     full = expsum.k2_full(params)
     if args.c >= 2:
@@ -222,11 +166,8 @@ def cmd_k2(args) -> int:
     rec = K2Record(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q, c=args.c,
                    full_re=full.real, full_im=full.imag,
                    stationary_re=sp.real, stationary_im=sp.imag, difference=diff)
-    out = _open_out(cfg)
-    try:
-        emit([rec], cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
+    with _output(args) as out:
+        emit([rec], args.format, out)
     if args.check_identity and diff >= 1e-9 * math.sqrt(args.c):
         print(f"k2: identity violated, |full - stationary| = {fmt_real(diff)}",
               file=sys.stderr)
@@ -235,7 +176,6 @@ def cmd_k2(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    cfg = _config(args)
     q = args.q
     if args.demo == "triangle":
         f = lambda u: max(0.0, 1.0 - abs(u))
@@ -249,17 +189,13 @@ def cmd_poisson(args) -> int:
                         lhs_re=rep.lhs.real, lhs_im=rep.lhs.imag,
                         rhs_re=rep.rhs.real, rhs_im=rep.rhs.imag,
                         difference=rep.difference, modes=rep.m_cut)
-    out = _open_out(cfg)
-    try:
-        emit([rec], cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
+    with _output(args) as out:
+        emit([rec], args.format, out)
     return 0 if rep.difference < 1e-8 else 1
 
 
 def cmd_oscillate(args) -> int:
-    cfg = _config(args)
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     records = []
     failures = 0
     for i in range(args.count):
@@ -274,53 +210,36 @@ def cmd_oscillate(args) -> int:
         records.append(OscillateRecord("second-derivative", i, rep.observed,
                                        rep.bound, rep.passed))
         failures += 0 if rep.passed else 1
-    out = _open_out(cfg)
-    try:
-        emit(records, cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
+    with _output(args) as out:
+        emit(records, args.format, out)
     return 0 if failures == 0 else 1
 
 
 def cmd_vdc(args) -> int:
-    cfg = _config(args)
     records = []
     worst = 0.0
-    for name, z in harness._vdc_families(cfg.d_dyadic, cfg.q_max, cfg.seed):
-        rep = harness.weyl_vdc_check(z, cfg.d_dyadic, cfg.q_max)
-        records.append(VdcRecord(name, cfg.d_dyadic, cfg.q_max,
-                                 rep.lhs, rep.rhs, rep.ratio))
+    for name, z in harness._vdc_families(args.d, args.q_max, args.seed):
+        rep = harness.weyl_vdc_check(z, args.d, args.q_max)
+        records.append(VdcRecord(name, args.d, args.q_max, rep.lhs, rep.rhs, rep.ratio))
         worst = max(worst, rep.ratio)
-    out = _open_out(cfg)
-    try:
-        emit(records, cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
+    with _output(args) as out:
+        emit(records, args.format, out)
     return 0 if worst <= 4.0 else 1
 
 
 def cmd_discrepancy(args) -> int:
-    cfg = _config(args)
-    value = census.equidistribution_discrepancy(cfg.base, cfg.x, cfg.d_max,
-                                                threads=cfg.threads)
-    rec = DiscrepancyRecord(base=cfg.base, x=cfg.x, d_max=cfg.d_max, value=value)
-    out = _open_out(cfg)
-    try:
-        emit([rec], cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
+    value = census.equidistribution_discrepancy(args.base, args.max, args.d_max)
+    rec = DiscrepancyRecord(base=args.base, x=args.max, d_max=args.d_max, value=value)
+    with _output(args) as out:
+        emit([rec], args.format, out)
     return 0
 
 
 def cmd_verify_all(args) -> int:
-    cfg = _config(args)
-    results = acceptance.run_all(quick=cfg.quick, threads=cfg.threads)
+    results = acceptance.run_all(quick=args.quick)
     records = [CriterionRecord(r.cid, r.name, r.passed, r.detail) for r in results]
-    out = _open_out(cfg)
-    try:
-        emit(records, cfg.fmt, out)
-    finally:
-        _close_out(cfg, out)
+    with _output(args) as out:
+        emit(records, args.format, out)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.cid:2d} {r.name}", file=sys.stderr)
@@ -338,7 +257,7 @@ def _add_common(sub, base=False, fmt=True):
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--output", help="output path (default: stdout)")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: PALINDROME_LAB_THREADS or 1)")
+                     help="accepted for compatibility; has no effect (runs are serial)")
     sub.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
 
 
@@ -365,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, base=True)
     p.add_argument("--max", type=int, help="census of restricted palindromes <= x")
     p.add_argument("--digits", type=int, help="census of unrestricted N-digit palindromes")
-    p.add_argument("--self-test-inject-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(handler=cmd_census)
 
     p = subs.add_parser("sbd", help="palindromes with a square divisor d^2, d in [D, 2D]")

@@ -31,7 +31,7 @@ from .oscillate import fourier_transform
 
 TWO_PI = 2.0 * math.pi
 
-# above this modulus, averaged sums switch to the stationary-phase form
+# above this modulus, k2 switches to the stationary-phase form
 STATIONARY_PHASE_THRESHOLD = 2048
 
 
@@ -175,19 +175,21 @@ def count_critical_points(params: ExpSumParams) -> int:
     return count
 
 
-def k2_q_average(m: int, a: int, q_max: int, c: int,
-                 sp_threshold: int = STATIONARY_PHASE_THRESHOLD) -> float:
-    """sum over |q| <= Q of |K2(m, a, -a, q, c)|; the stationary-phase form
-    is used for large moduli."""
+def k2(params: ExpSumParams) -> complex:
+    """K2 by the cheaper exact route: direct summation up to
+    STATIONARY_PHASE_THRESHOLD, the stationary-phase form above it."""
+    if params.c > STATIONARY_PHASE_THRESHOLD:
+        return k2_stationary_phase(params)
+    return k2_full(params)
+
+
+def k2_q_average(m: int, a: int, q_max: int, c: int) -> float:
+    """sum over |q| <= Q of |K2(m, a, -a, q, c)|, each term through k2."""
     if q_max < 0:
         raise ValueError("Q must be >= 0")
     total = 0.0
     for q in range(-q_max, q_max + 1):
-        params = ExpSumParams(m, a, -a, q, c)
-        if c > sp_threshold:
-            total += abs(k2_stationary_phase(params))
-        else:
-            total += abs(k2_full(params))
+        total += abs(k2(ExpSumParams(m, a, -a, q, c)))
     return total
 
 

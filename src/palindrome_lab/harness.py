@@ -74,7 +74,7 @@ def _check_sb_budget(b, x, d_dyadic, budget, partial):
 
 
 def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int],
-              budget: Budget = Budget(), threads: int = 1) -> BoundFit:
+              budget: Budget = Budget()) -> BoundFit:
     """Fit the constant in the elementary bound  s_b(x, D) <= C * x / D^(3/2).
 
     xs and ds are paired pointwise. Both counting strategies are run on every
@@ -88,7 +88,7 @@ def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int],
         count = census.s_b(b, x, d_dyadic, strategy="both")
         return count * d_dyadic**1.5 / x
 
-    observed = map_in_order(one, grid, threads)
+    observed = map_in_order(one, grid)
     return _make_fit(f"s_{b} * D^(3/2) / x", grid, observed)
 
 
@@ -99,7 +99,7 @@ _WINDOWS = {
 
 
 def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
-                    budget: Budget = Budget(), threads: int = 1) -> tuple[BoundFit, BoundFit]:
+                    budget: Budget = Budget()) -> tuple[BoundFit, BoundFit]:
     """Fit the two exponential-sum-driven shapes on their stated windows:
 
         s_b * D^(2/3)  / x^(2/3)    for x^(1/4)  <= D <= x^(2/5)
@@ -120,7 +120,7 @@ def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
         return any(x**lo <= d <= x**hi for lo, hi in _WINDOWS.values())
 
     needed = [(x, d) for x, d in points if in_any_window(x, d)]
-    for point, count in zip(needed, map_in_order(compute, needed, threads)):
+    for point, count in zip(needed, map_in_order(compute, needed)):
         counts[point] = count
 
     fits = []
@@ -224,7 +224,7 @@ def weyl_vdc_campaign(d_dyadic: int, q_max: int, seed: int = DEFAULT_SEED) -> Bo
 # ---------------------------------------------------------------------------
 
 def asymptotic_report(b: int, xs: Sequence[int], include_fixed_length: bool = True,
-                      budget: Budget = Budget(), threads: int = 1) -> list[census.CensusRecord]:
+                      budget: Budget = Budget()) -> list[census.CensusRecord]:
     """Census rows for each x (restricted, against the Euler-product density)
     and, optionally, for each digit length reachable below max(xs)
     (unrestricted, against 1/zeta(2))."""
@@ -232,7 +232,7 @@ def asymptotic_report(b: int, xs: Sequence[int], include_fixed_length: bool = Tr
     for x in xs:
         if count_up_to_estimate(b, x) > budget.max_palindromes:
             raise BudgetExceededError(f"palindrome budget exceeded at x={x}", None)
-    records = [census.census_up_to(b, x, threads=threads) for x in xs]
+    records = [census.census_up_to(b, x) for x in xs]
     if include_fixed_length:
         n_digits = 1
         while b**n_digits <= xs[-1]:
@@ -255,8 +255,7 @@ def _divisors_of_prime_power_product(b: int, n_max: int, cap: int) -> list[int]:
 
 
 def fit_pointwise_k2(b: int, n_max: int, ma_pairs: Sequence[tuple[int, int]],
-                     c_cap: int = 10**8,
-                     sp_threshold: int = expsum.STATIONARY_PHASE_THRESHOLD) -> BoundFit:
+                     c_cap: int = 10**8) -> BoundFit:
     """Fit the constant in  |K2(m, a, c)| <= C_b  over divisors c of b^n_max
     (capped for runtime) and sample pairs with gcd(a, b) = 1."""
     grid, observed, notes = [], [], []
@@ -265,11 +264,8 @@ def fit_pointwise_k2(b: int, n_max: int, ma_pairs: Sequence[tuple[int, int]],
             if math.gcd(a, b) != 1:
                 notes.append(f"skipped (m={m}, a={a}): gcd(a, b) != 1")
                 continue
-            params = expsum.ExpSumParams(m, a, 0, 0, c)
-            value = (abs(expsum.k2_stationary_phase(params)) if c > sp_threshold
-                     else abs(expsum.k2_full(params)))
             grid.append((m, a, c))
-            observed.append(value)
+            observed.append(abs(expsum.k2(expsum.ExpSumParams(m, a, 0, 0, c))))
     return _make_fit(f"|K2(m,a,c)| over c | {b}^{n_max}", grid, observed, notes)
 
 

@@ -1,42 +1,16 @@
-"""Deterministic worker-pool helpers.
+"""Deterministic ordered map and reduction helpers.
 
-Work is always partitioned the same way regardless of thread count, results
-are collected in submission order, and callers combine them with
-order-independent reductions, so outputs are identical at any parallelism
-degree.
+Everything runs serially in the calling thread; results come back in input
+order and floats are combined by a fixed association, so outputs are
+identical from run to run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-ENV_THREADS = "PALINDROME_LAB_THREADS"
-
-
-def resolve_threads(requested: int | None) -> int:
-    """Thread count: explicit value, else the PALINDROME_LAB_THREADS
-    environment variable, else 1."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError("thread count must be >= 1")
-        return requested
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{ENV_THREADS} must be >= 1")
-        return n
-    return 1
-
-
-def map_in_order(fn, items, threads: int = 1) -> list:
+def map_in_order(fn, items) -> list:
     """Map fn over items, preserving input order in the result list."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def pairwise_sum(values):

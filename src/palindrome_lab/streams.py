@@ -35,15 +35,13 @@ def palindrome_from_half(h: int, b: int, n_digits: int) -> int:
 class PalindromeStream:
     """Strictly increasing cursor over a palindrome set.
 
-    A stream is a one-shot iterator; create a new one (or use
-    split_at_prefix for data-parallel consumption) to traverse again.
+    A stream is a one-shot iterator; create a new one to traverse again.
     """
 
-    def __init__(self, base, segments, restricted, cutoff, scope):
+    def __init__(self, base, segments, restricted, cutoff):
         # segments: list of (n_digits, half_lo, half_hi) in increasing order
         self.base = base
         self.restricted = restricted
-        self.scope = scope
         self._segments = segments
         self._cutoff = cutoff
         self._coprime_to = base**3 - base
@@ -76,35 +74,6 @@ class PalindromeStream:
                 self._half = self._segments[self._seg_index][1]
         raise StopIteration
 
-    def split_at_prefix(self, parts: int) -> list["PalindromeStream"]:
-        """Split into sub-streams over contiguous half-prefix sub-intervals.
-
-        The concatenation of the parts, in order, traverses exactly the same
-        values as this stream; counts merged from the parts are independent
-        of the split. Only valid on a fresh (unconsumed) stream.
-        """
-        if parts < 1:
-            raise ValueError("parts must be >= 1")
-        if self._seg_index != 0 or (self._segments and self._half != self._segments[0][1]):
-            raise ValueError("cannot split a stream that is already being consumed")
-        out = []
-        for n_digits, lo, hi in self._segments:
-            span = hi - lo
-            chunks = min(parts, span)
-            for i in range(chunks):
-                a = lo + span * i // chunks
-                b_ = lo + span * (i + 1) // chunks
-                out.append(
-                    PalindromeStream(
-                        self.base,
-                        [(n_digits, a, b_)],
-                        self.restricted,
-                        self._cutoff,
-                        self.scope,
-                    )
-                )
-        return out
-
 
 def _half_range(b: int, n_digits: int) -> tuple[int, int]:
     m = (n_digits + 1) // 2
@@ -120,7 +89,7 @@ def stream_fixed_length(b: int, n_digits: int, restricted: bool = False) -> Pali
     if b**n_digits > STREAM_VALUE_LIMIT:
         raise OverflowError(f"b**N exceeds the 2**127 stream bound (b={b}, N={n_digits})")
     lo, hi = _half_range(b, n_digits)
-    return PalindromeStream(b, [(n_digits, lo, hi)], restricted, None, ("fixed_length", n_digits))
+    return PalindromeStream(b, [(n_digits, lo, hi)], restricted, None)
 
 
 def stream_up_to(b: int, x: int, restricted: bool = False) -> PalindromeStream:
@@ -135,7 +104,7 @@ def stream_up_to(b: int, x: int, restricted: bool = False) -> PalindromeStream:
     while b ** (n_digits - 1) <= x:
         segments.append((n_digits, *_half_range(b, n_digits)))
         n_digits += 1
-    return PalindromeStream(b, segments, restricted, x, ("up_to", x))
+    return PalindromeStream(b, segments, restricted, x)
 
 
 def count_fixed_length(b: int, n_digits: int) -> int:
@@ -149,10 +118,21 @@ def count_fixed_length(b: int, n_digits: int) -> int:
 
 
 def count_up_to_estimate(b: int, x: int) -> int:
-    """Upper bound on #(palindromes <= x), used for cost models and budgets."""
+    """#(palindromes <= x), exact; used for cost models and budgets.
+
+    Digit lengths below that of x count in full; in the length of x the
+    half-prefixes run up to the largest one whose mirror is <= x.
+    """
+    if x < 1:
+        return 0
     total = 0
     n_digits = 1
-    while b ** (n_digits - 1) <= x:
+    while b**n_digits <= x:
         total += count_fixed_length(b, n_digits)
         n_digits += 1
-    return total
+    lo, _ = _half_range(b, n_digits)
+    # the leading half of x, or one less when its mirror overshoots x
+    h = x // b ** (n_digits - (n_digits + 1) // 2)
+    if palindrome_from_half(h, b, n_digits) > x:
+        h -= 1
+    return total + h - lo + 1

@@ -114,6 +114,29 @@ def test_squarefree_against_factorization_oracle():
         assert is_squarefree(n) == by_factorization, n
 
 
+# primes above the 10**6 trial-division bound: products of three of them pass
+# 10**18, where the cofactor left by trial division can hold three primes
+WIDE_PRIMES = (1000003, 2000003, 3000017, 4000037, 5000011, 10000019)
+
+
+def test_squarefree_and_mobius_above_1e18():
+    p, q, r = 2000003, 3000017, 4000037
+    assert not is_squarefree(p * p * q)
+    assert mobius(p * p * q) == 0
+    assert is_squarefree(p * q * r)
+    assert mobius(p * q * r) == -1
+    assert mobius(p * q) == 1
+
+
+@given(st.lists(st.sampled_from(WIDE_PRIMES), min_size=3, max_size=5))
+def test_squarefree_mobius_wide_products(primes):
+    n = math.prod(primes)
+    exponents = [primes.count(p) for p in set(primes)]
+    squarefree = max(exponents) == 1
+    assert is_squarefree(n) == squarefree
+    assert mobius(n) == ((-1) ** len(primes) if squarefree else 0)
+
+
 def test_mod_inverse_examples():
     assert mod_inverse(3, 10) == 7
     assert mod_inverse(1, 97) == 1

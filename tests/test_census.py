@@ -46,9 +46,12 @@ def test_mobius_identity(b, x):
     assert q_star_direct(b, x) == q_star_mobius(b, x)
 
 
-def test_mobius_identity_threaded_matches():
-    assert q_star_mobius(10, 10**5, threads=4) == q_star_mobius(10, 10**5)
-    assert q_star_direct(10, 10**5, threads=4) == q_star_direct(10, 10**5)
+def test_square_divisor_mobius_sum_above_1e18():
+    # the cofactor left by trial division to 10**6 holds three primes
+    p, q, r = 2000003, 3000017, 4000037
+    assert census._square_divisor_mobius_sum(p * p * q) == 0
+    assert census._square_divisor_mobius_sum(p * q * r) == 1
+    assert census._square_divisor_mobius_sum(p * p * q * q * r) == 0
 
 
 def test_census_record_fields():

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from palindrome_lab import census
 from palindrome_lab.cli import main
 
 
@@ -61,10 +62,12 @@ def test_census_million_predicted(tmp_path):
     assert "0.957801814119" in text
 
 
-def test_census_fault_injection(tmp_path, capsys):
+def test_census_fault_injection(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(census, "q_star_mobius", lambda b, x: -1)
     code = main(["census", "--base", "10", "--max", "1000",
-                 "--self-test-inject-fault", "--output", str(tmp_path / "x")])
+                 "--output", str(tmp_path / "x")])
     assert code == 1
+    assert "mobius census identity failed" in capsys.readouterr().err
 
 
 def test_census_json(tmp_path):

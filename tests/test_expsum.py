@@ -147,9 +147,13 @@ def test_k2_q_average():
 
 
 def test_k2_q_average_sp_threshold_consistency():
-    direct = k2_q_average(0, 1, 3, 243, sp_threshold=10**6)
-    via_sp = k2_q_average(0, 1, 3, 243, sp_threshold=1)
+    # k2_q_average takes the direct form at c = 243; the stationary-phase
+    # form must give the same average over the same q-range
+    params = [ExpSumParams(0, 1, -1, q, 243) for q in range(-3, 4)]
+    direct = sum(abs(k2_full(p)) for p in params)
+    via_sp = sum(abs(k2_stationary_phase(p)) for p in params)
     assert direct == pytest.approx(via_sp, abs=1e-9)
+    assert k2_q_average(0, 1, 3, 243) == pytest.approx(direct, abs=1e-12)
 
 
 def test_k2_full_refuses_huge_modulus():

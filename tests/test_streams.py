@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from palindrome_lab.streams import (
     count_fixed_length,
+    count_up_to_estimate,
     palindrome_from_half,
     stream_fixed_length,
     stream_up_to,
@@ -92,32 +93,14 @@ def test_up_to_matches_fixed_length_concatenation():
     assert by_scan == joined
 
 
-@given(
-    st.integers(2, 12),
-    st.integers(1, 6),
-    st.booleans(),
-    st.integers(1, 9),
-)
-def test_split_at_prefix_partitions(b, n_digits, restricted, parts):
-    full = list(stream_fixed_length(b, n_digits, restricted))
-    pieces = stream_fixed_length(b, n_digits, restricted).split_at_prefix(parts)
-    concatenated = [n for piece in pieces for n in piece]
-    assert concatenated == full
+@given(st.integers(2, 12), st.integers(1, 20000))
+def test_count_up_to_estimate_is_exact(b, x):
+    assert count_up_to_estimate(b, x) == len(list(stream_up_to(b, x)))
 
 
-def test_split_up_to_partitions():
-    full = list(stream_up_to(10, 54321, restricted=True))
-    pieces = stream_up_to(10, 54321, restricted=True).split_at_prefix(4)
-    assert sorted(n for piece in pieces for n in piece) == full
-    counts = [sum(1 for _ in piece) for piece in stream_up_to(10, 54321, True).split_at_prefix(7)]
-    assert sum(counts) == len(full)
-
-
-def test_split_consumed_stream_rejected():
-    s = stream_fixed_length(10, 3)
-    next(s)
-    with pytest.raises(ValueError):
-        s.split_at_prefix(2)
+def test_count_up_to_estimate_at_powers():
+    assert count_up_to_estimate(10, 10**10) == 199998
+    assert count_up_to_estimate(2, 2**20) == count_up_to_estimate(2, 2**20 - 1)
 
 
 def test_overflow_guards():
