@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith, census, expsum, harness, oscillate
-from .report import fmt_real, render_csv
+from .report import fmt_real, render_csv, rows_from_dataclasses
 
 SEED = harness.DEFAULT_SEED
 
@@ -50,13 +50,13 @@ def criterion_mobius_identity(quick: bool = False, threads: int = 1) -> Criterio
     ok = True
     for b in (2, 3, 10):
         for x in xs:
-            direct = census.q_star_direct(b, x)
-            via_mobius = census.q_star_mobius(b, x)
-            if direct != via_mobius:
+            try:
+                rec = census.census_up_to(b, x, check_identity=True)
+            except ArithmeticError as exc:
                 ok = False
-                pieces.append(f"b={b},x={x}:direct={direct}!=mobius={via_mobius}")
+                pieces.append(f"b={b},x={x}:{exc}")
             else:
-                pieces.append(f"b={b},x={x}:{direct}")
+                pieces.append(f"b={b},x={x}:{rec.squarefree}")
     return _result(1, "mobius-identity", ok, " ".join(pieces))
 
 
@@ -276,11 +276,7 @@ def criterion_averaged_k2_stability(quick: bool = False, threads: int = 1) -> Cr
 def report_payload(quick: bool = True) -> str:
     """The deterministic CSV report of criteria 1-9 (used by verify-all and
     by the byte-identity determinism check)."""
-    results = [fn(quick=quick) for fn in _CRITERIA[:9]]
-    header = ["cid", "name", "passed", "detail"]
-    rows = [[str(r.cid), r.name, "true" if r.passed else "false", r.detail]
-            for r in results]
-    return render_csv(header, rows)
+    return render_csv(*rows_from_dataclasses(fn(quick=quick) for fn in _CRITERIA[:9]))
 
 
 def criterion_determinism(quick: bool = True) -> CriterionResult:

@@ -257,6 +257,24 @@ def _cofactor_exponents(m: int, count_primes: bool) -> list[int]:
     return list(factorize(m).values())
 
 
+def _strip_small_primes(n: int) -> tuple[int, int] | None:
+    """Divide out the primes up to min(n^(1/3), 10**6) from n > 1.
+
+    Returns (cofactor, number of primes divided out), or None at the first
+    prime that divides n twice.
+    """
+    m, k = n, 0
+    for p in _primes_at_least(min(_icbrt(n) + 1, 10**6)):
+        if p * p * p > n:
+            break
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return None
+            k += 1
+    return m, k
+
+
 def is_squarefree(n: int) -> bool:
     """True iff no p**2 divides n.
 
@@ -267,15 +285,11 @@ def is_squarefree(n: int) -> bool:
         raise ValueError("is_squarefree requires n >= 1")
     if n < 4:
         return True
-    n0 = n
-    for p in _primes_at_least(min(_icbrt(n0) + 1, 10**6)):
-        if p * p * p > n0:
-            break
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-    return n == 1 or max(_cofactor_exponents(n, count_primes=False)) == 1
+    stripped = _strip_small_primes(n)
+    if stripped is None:
+        return False
+    m = stripped[0]
+    return m == 1 or max(_cofactor_exponents(m, count_primes=False)) == 1
 
 
 def mobius(n: int) -> int:
@@ -284,17 +298,12 @@ def mobius(n: int) -> int:
         raise ValueError("mobius requires n >= 1")
     if n == 1:
         return 1
-    n0, k = n, 0
-    for p in _primes_at_least(min(_icbrt(n0) + 1, 10**6)):
-        if p * p * p > n0:
-            break
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            k += 1
-    if n > 1:
-        exponents = _cofactor_exponents(n, count_primes=True)
+    stripped = _strip_small_primes(n)
+    if stripped is None:
+        return 0
+    m, k = stripped
+    if m > 1:
+        exponents = _cofactor_exponents(m, count_primes=True)
         if max(exponents) > 1:
             return 0
         k += len(exponents)

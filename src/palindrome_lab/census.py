@@ -6,9 +6,13 @@ restricted palindromes <= x equals
     sum over d <= sqrt(x), gcd(d, b^3-b) = 1 of mu(d) * #{n palindromic,
     restricted, <= x, d^2 | n}
 
-which this module evaluates by two genuinely different routes (a boolean
-square-free test per element vs. an explicit sum of mu over square divisors)
-so that each run cross-checks the other.
+which this module evaluates by two routes in one pass over the stream (a
+boolean square-free test per element, and an explicit sum of mu over its
+square divisors) so that each run cross-checks the other. The routes are not
+independent: both trial-divide through arith's prime table up to the cube root
+(arith._icbrt) and settle the cofactor with arith._cofactor_exponents, so a
+fault there reaches both. ROADMAP item 4 replaces the second route with one
+that shares none of this.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import gcd
 from . import arith
 from .digits import is_palindrome
 from .parallel import map_in_order
-from .streams import count_up_to_estimate, stream_fixed_length, stream_up_to
+from .streams import count_up_to, stream_fixed_length, stream_up_to
 
 ZETA2_INV = 6 / math.pi**2
 
@@ -62,7 +66,7 @@ def density_constant(b: int) -> tuple[float, Fraction]:
 def q_star_direct(b: int, x: int) -> int:
     """#(square-free restricted palindromes <= x), one square-free test per
     streamed element."""
-    return sum(1 for n in stream_up_to(b, x, restricted=True) if arith.is_squarefree(n))
+    return census_up_to(b, x, check_identity=False).squarefree
 
 
 def _square_divisor_mobius_sum(n: int) -> int:
@@ -99,27 +103,28 @@ def q_star_mobius(b: int, x: int) -> int:
     return sum(_square_divisor_mobius_sum(n) for n in stream_up_to(b, x, restricted=True))
 
 
-def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) -> CensusRecord:
-    """Restricted census at x with the predicted density and its error.
-
-    threads is accepted for compatibility and ignored: the census is serial.
-    """
-    total = sum(1 for _ in stream_up_to(b, x, restricted=True))
-    squarefree = q_star_direct(b, x)
-    if check_identity:
-        via_mobius = q_star_mobius(b, x)
-        if via_mobius != squarefree:
-            raise ArithmeticError(
-                f"mobius census identity failed at b={b}, x={x}: "
-                f"direct={squarefree} mobius={via_mobius}"
-            )
-    predicted, _ = density_constant(b)
+def _census(stream, scope_kind: str, scope: int, predicted: float,
+            check_identity: bool) -> CensusRecord:
+    """Count a stream in one pass: its total, its square-free members and,
+    with check_identity, the Mobius sum that must equal the latter."""
+    total = squarefree = via_mobius = 0
+    for n in stream:
+        total += 1
+        if arith.is_squarefree(n):
+            squarefree += 1
+        if check_identity:
+            via_mobius += _square_divisor_mobius_sum(n)
+    if check_identity and via_mobius != squarefree:
+        raise ArithmeticError(
+            f"mobius census identity failed at b={stream.base}, x={scope}: "
+            f"direct={squarefree} mobius={via_mobius}"
+        )
     ratio = squarefree / total if total else 0.0
     return CensusRecord(
-        base=b,
-        scope_kind="up_to",
-        scope=x,
-        restricted=True,
+        base=stream.base,
+        scope_kind=scope_kind,
+        scope=scope,
+        restricted=stream.restricted,
         total=total,
         squarefree=squarefree,
         ratio=ratio,
@@ -128,26 +133,21 @@ def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) 
     )
 
 
+def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) -> CensusRecord:
+    """Restricted census at x with the predicted density and its error.
+
+    With check_identity the Mobius route is evaluated in the same pass and
+    must agree exactly, else ArithmeticError. threads is accepted for
+    compatibility and ignored: the census is serial.
+    """
+    return _census(stream_up_to(b, x, restricted=True), "up_to", x,
+                   density_constant(b)[0], check_identity)
+
+
 def q_fixed_length(b: int, n_digits: int) -> CensusRecord:
     """Unrestricted fixed-length census against the 1/zeta(2) density."""
-    total = 0
-    squarefree = 0
-    for n in stream_fixed_length(b, n_digits, restricted=False):
-        total += 1
-        if arith.is_squarefree(n):
-            squarefree += 1
-    ratio = squarefree / total if total else 0.0
-    return CensusRecord(
-        base=b,
-        scope_kind="fixed_length",
-        scope=n_digits,
-        restricted=False,
-        total=total,
-        squarefree=squarefree,
-        ratio=ratio,
-        predicted=ZETA2_INV,
-        abs_error=abs(ratio - ZETA2_INV),
-    )
+    return _census(stream_fixed_length(b, n_digits), "fixed_length", n_digits,
+                   ZETA2_INV, False)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,16 @@ def _s_b_multiples(b: int, x: int, d_lo: int, d_hi: int) -> int:
     return count
 
 
+def s_b_costs(b: int, x: int, d_dyadic: int) -> tuple[int, int]:
+    """Probe counts of the two S_b strategies, (stream, multiples): every
+    palindrome <= x against each of the D + 1 squares, and every multiple of
+    each d^2 <= x."""
+    cost_stream = count_up_to(b, x) * (d_dyadic + 1)
+    cost_multiples = sum(x // (d * d) + 1 for d in range(d_dyadic, 2 * d_dyadic + 1)
+                         if d * d <= x)
+    return cost_stream, cost_multiples
+
+
 def s_b(b: int, x: int, d_dyadic: int, strategy: str = "auto") -> int:
     """#(restricted palindromes <= x divisible by d^2 for some d in
     [D, 2D]); each n counted once.
@@ -204,8 +214,7 @@ def s_b(b: int, x: int, d_dyadic: int, strategy: str = "auto") -> int:
         raise ValueError("x and D must be >= 1")
     d_lo, d_hi = d_dyadic, 2 * d_dyadic
     if strategy == "auto":
-        cost_stream = count_up_to_estimate(b, x) * (d_hi - d_lo + 1)
-        cost_multiples = sum(x // (d * d) + 1 for d in range(d_lo, d_hi + 1) if d * d <= x)
+        cost_stream, cost_multiples = s_b_costs(b, x, d_dyadic)
         strategy = "stream" if cost_stream < cost_multiples else "multiples"
     if strategy == "stream":
         return _s_b_stream(b, x, d_lo, d_hi)

@@ -2,8 +2,7 @@
 
 Subcommands: enumerate, census, sbd, k2, poisson, oscillate, vdc,
 discrepancy, verify-all. Reports are CSV (RFC-4180 quoting) or JSON and are
-byte-identical for identical configurations. Every subcommand accepts
---threads for compatibility; it has no effect, since all work is serial.
+byte-identical for identical configurations.
 """
 
 from __future__ import annotations
@@ -95,14 +94,6 @@ class DiscrepancyRecord:
     x: int
     d_max: int
     value: float
-
-
-@dataclass(frozen=True)
-class CriterionRecord:
-    cid: int
-    name: str
-    passed: bool
-    detail: str
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +228,8 @@ def cmd_discrepancy(args) -> int:
 
 def cmd_verify_all(args) -> int:
     results = acceptance.run_all(quick=args.quick)
-    records = [CriterionRecord(r.cid, r.name, r.passed, r.detail) for r in results]
     with _output(args) as out:
-        emit(records, args.format, out)
+        emit(results, args.format, out)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.cid:2d} {r.name}", file=sys.stderr)
@@ -256,9 +246,6 @@ def _add_common(sub, base=False, fmt=True):
     if fmt:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--output", help="output path (default: stdout)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; has no effect (runs are serial)")
-    sub.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,12 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("oscillate", help="randomized oscillatory-integral bound checks")
     _add_common(p)
     p.add_argument("--count", type=int, default=100, help="specs per bound family")
+    p.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
     p.set_defaults(handler=cmd_oscillate)
 
     p = subs.add_parser("vdc", help="smoothed Weyl differencing on canonical families")
     _add_common(p)
     p.add_argument("--d", type=int, required=True, help="dyadic parameter D")
     p.add_argument("--q-max", dest="q_max", type=int, required=True)
+    p.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
     p.set_defaults(handler=cmd_vdc)
 
     p = subs.add_parser("discrepancy", help="equidistribution discrepancy mod d^2")

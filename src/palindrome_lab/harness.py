@@ -16,17 +16,13 @@ from typing import Mapping, Sequence
 from . import census, expsum
 from .oscillate import PSI
 from .parallel import map_in_order
-from .streams import count_up_to_estimate
+from .streams import count_up_to
 
 DEFAULT_SEED = 1729
 
 
 class BudgetExceededError(RuntimeError):
-    """A campaign would exceed its enumeration budget; carries partial results."""
-
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial = partial
+    """A campaign would exceed its enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -63,14 +59,9 @@ def _make_fit(label, grid, observed, notes=()):
 # square-divisor count fits
 # ---------------------------------------------------------------------------
 
-def _check_sb_budget(b, x, d_dyadic, budget, partial):
-    probes = min(
-        count_up_to_estimate(b, x) * (d_dyadic + 1),
-        sum(x // (d * d) + 1 for d in range(d_dyadic, 2 * d_dyadic + 1) if d * d <= x),
-    )
-    if probes > budget.max_probes:
-        raise BudgetExceededError(
-            f"s_b probe budget exceeded at x={x}, D={d_dyadic}", partial)
+def _check_sb_budget(b, x, d_dyadic, budget):
+    if min(census.s_b_costs(b, x, d_dyadic)) > budget.max_probes:
+        raise BudgetExceededError(f"s_b probe budget exceeded at x={x}, D={d_dyadic}")
 
 
 def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int],
@@ -84,7 +75,7 @@ def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int],
 
     def one(point):
         x, d_dyadic = point
-        _check_sb_budget(b, x, d_dyadic, budget, None)
+        _check_sb_budget(b, x, d_dyadic, budget)
         count = census.s_b(b, x, d_dyadic, strategy="both")
         return count * d_dyadic**1.5 / x
 
@@ -113,7 +104,7 @@ def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
 
     def compute(point):
         x, d_dyadic = point
-        _check_sb_budget(b, x, d_dyadic, budget, None)
+        _check_sb_budget(b, x, d_dyadic, budget)
         return census.s_b(b, x, d_dyadic, strategy="both")
 
     def in_any_window(x, d):
@@ -230,8 +221,8 @@ def asymptotic_report(b: int, xs: Sequence[int], include_fixed_length: bool = Tr
     (unrestricted, against 1/zeta(2))."""
     xs = sorted(xs)
     for x in xs:
-        if count_up_to_estimate(b, x) > budget.max_palindromes:
-            raise BudgetExceededError(f"palindrome budget exceeded at x={x}", None)
+        if count_up_to(b, x) > budget.max_palindromes:
+            raise BudgetExceededError(f"palindrome budget exceeded at x={x}")
     records = [census.census_up_to(b, x) for x in xs]
     if include_fixed_length:
         n_digits = 1

@@ -146,10 +146,6 @@ class SmoothBump:
         self._rise_scale = 1.0 / (p0 - lo)
         self._fall_scale = 1.0 / (hi - p1)
 
-    @property
-    def monotone_pieces(self) -> int:
-        return 2
-
     def derivative(self, x: float, order: int = 0) -> float:
         if not 0 <= order <= KMAX_DERIVATIVE:
             raise ValueError(f"derivative order must be in [0, {KMAX_DERIVATIVE}]")

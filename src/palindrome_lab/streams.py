@@ -117,7 +117,7 @@ def count_fixed_length(b: int, n_digits: int) -> int:
     return (b - 1) * b ** ((n_digits + 1) // 2 - 1)
 
 
-def count_up_to_estimate(b: int, x: int) -> int:
+def count_up_to(b: int, x: int) -> int:
     """#(palindromes <= x), exact; used for cost models and budgets.
 
     Digit lengths below that of x count in full; in the length of x the

@@ -6,7 +6,7 @@ CLI as `palindrome-lab verify-all`.
 
 import pytest
 
-from palindrome_lab import acceptance
+from palindrome_lab import acceptance, census
 from palindrome_lab.cli import main
 
 
@@ -19,6 +19,13 @@ def _run(fn, **kwargs):
 
 def test_criterion_1_mobius_identity():
     _run(acceptance.criterion_mobius_identity)
+
+
+def test_criterion_1_fails_on_broken_mobius_route(monkeypatch):
+    monkeypatch.setattr(census, "_square_divisor_mobius_sum", lambda n: -1)
+    result = acceptance.criterion_mobius_identity(quick=True)
+    assert not result.passed
+    assert "mobius census identity failed" in result.detail
 
 
 def test_criterion_2_density_convergence():

@@ -152,6 +152,19 @@ def test_discrepancy_validation():
 
 
 def test_census_identity_guard(monkeypatch):
-    monkeypatch.setattr(census, "q_star_mobius", lambda b, x, threads=1: -1)
+    monkeypatch.setattr(census, "_square_divisor_mobius_sum", lambda n: -1)
     with pytest.raises(ArithmeticError):
         census_up_to(10, 100)
+
+
+def test_census_up_to_streams_once(monkeypatch):
+    opened = []
+
+    def counting_stream_up_to(*args, **kwargs):
+        opened.append(args)
+        return stream_up_to(*args, **kwargs)
+
+    monkeypatch.setattr(census, "stream_up_to", counting_stream_up_to)
+    rec = census_up_to(10, 10**4, check_identity=True)
+    assert (rec.total, rec.squarefree) == (25, 24)
+    assert len(opened) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from palindrome_lab.streams import (
     count_fixed_length,
-    count_up_to_estimate,
+    count_up_to,
     palindrome_from_half,
     stream_fixed_length,
     stream_up_to,
@@ -94,13 +94,13 @@ def test_up_to_matches_fixed_length_concatenation():
 
 
 @given(st.integers(2, 12), st.integers(1, 20000))
-def test_count_up_to_estimate_is_exact(b, x):
-    assert count_up_to_estimate(b, x) == len(list(stream_up_to(b, x)))
+def test_count_up_to_is_exact(b, x):
+    assert count_up_to(b, x) == len(list(stream_up_to(b, x)))
 
 
-def test_count_up_to_estimate_at_powers():
-    assert count_up_to_estimate(10, 10**10) == 199998
-    assert count_up_to_estimate(2, 2**20) == count_up_to_estimate(2, 2**20 - 1)
+def test_count_up_to_at_powers():
+    assert count_up_to(10, 10**10) == 199998
+    assert count_up_to(2, 2**20) == count_up_to(2, 2**20 - 1)
 
 
 def test_overflow_guards():
