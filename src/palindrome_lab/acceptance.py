@@ -136,14 +136,14 @@ def criterion_oscillatory_constants(quick: bool = False, threads: int = 1) -> Cr
     margin_first = math.inf
     for _ in range(count):
         spec, m = oscillate.random_first_derivative_spec(rng)
-        rep = oscillate.check_first_derivative_bound(spec, m, strict=False)
+        rep = oscillate.check_first_derivative_bound(spec, m)
         if not rep.passed:
             violations += 1
         margin_first = min(margin_first, rep.bound - rep.observed)
     margin_second = math.inf
     for _ in range(count):
         spec, r = oscillate.random_second_derivative_spec(rng)
-        rep = oscillate.check_second_derivative_bound(spec, r, strict=False)
+        rep = oscillate.check_second_derivative_bound(spec, r)
         if not rep.passed:
             violations += 1
         margin_second = min(margin_second, rep.bound - rep.observed)

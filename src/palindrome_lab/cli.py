@@ -191,13 +191,13 @@ def cmd_oscillate(args) -> int:
     failures = 0
     for i in range(args.count):
         spec, m = oscillate.random_first_derivative_spec(rng)
-        rep = oscillate.check_first_derivative_bound(spec, m, strict=False)
+        rep = oscillate.check_first_derivative_bound(spec, m)
         records.append(OscillateRecord("first-derivative", i, rep.observed,
                                        rep.bound, rep.passed))
         failures += 0 if rep.passed else 1
     for i in range(args.count):
         spec, r = oscillate.random_second_derivative_spec(rng)
-        rep = oscillate.check_second_derivative_bound(spec, r, strict=False)
+        rep = oscillate.check_second_derivative_bound(spec, r)
         records.append(OscillateRecord("second-derivative", i, rep.observed,
                                        rep.bound, rep.passed))
         failures += 0 if rep.passed else 1

@@ -20,6 +20,8 @@ from .streams import count_up_to
 
 DEFAULT_SEED = 1729
 
+CRITICAL_POINT_C_CAP = 10**4  # largest modulus fit_critical_point_bound visits
+
 
 class BudgetExceededError(RuntimeError):
     """A campaign would exceed its enumeration budget."""
@@ -214,21 +216,20 @@ def weyl_vdc_campaign(d_dyadic: int, q_max: int, seed: int = DEFAULT_SEED) -> Bo
 # census convergence tables
 # ---------------------------------------------------------------------------
 
-def asymptotic_report(b: int, xs: Sequence[int], include_fixed_length: bool = True,
+def asymptotic_report(b: int, xs: Sequence[int],
                       budget: Budget = Budget()) -> list[census.CensusRecord]:
     """Census rows for each x (restricted, against the Euler-product density)
-    and, optionally, for each digit length reachable below max(xs)
-    (unrestricted, against 1/zeta(2))."""
+    and for each digit length reachable below max(xs) (unrestricted, against
+    1/zeta(2))."""
     xs = sorted(xs)
     for x in xs:
         if count_up_to(b, x) > budget.max_palindromes:
             raise BudgetExceededError(f"palindrome budget exceeded at x={x}")
     records = [census.census_up_to(b, x) for x in xs]
-    if include_fixed_length:
-        n_digits = 1
-        while b**n_digits <= xs[-1]:
-            records.append(census.q_fixed_length(b, n_digits))
-            n_digits += 1
+    n_digits = 1
+    while b**n_digits <= xs[-1]:
+        records.append(census.q_fixed_length(b, n_digits))
+        n_digits += 1
     return records
 
 
@@ -281,9 +282,9 @@ def fit_averaged_k2(b: int, n_values: Sequence[int], q_values: Sequence[int],
 
 
 def fit_critical_point_bound(primes: Sequence[int], alpha_max: int,
-                             tuples_per_c: int, seed: int = DEFAULT_SEED,
-                             c_cap: int = 10**4) -> BoundFit:
-    """Fit kappa in  |K2| <= kappa * #critical points  per prime power.
+                             tuples_per_c: int, seed: int = DEFAULT_SEED) -> BoundFit:
+    """Fit kappa in  |K2| <= kappa * #critical points  per prime power
+    c = p^alpha <= CRITICAL_POINT_C_CAP.
 
     Tuples whose critical count is zero are recorded in the notes instead of
     fitted (the literal count can vanish while K2 does not when unit classes
@@ -295,7 +296,7 @@ def fit_critical_point_bound(primes: Sequence[int], alpha_max: int,
     grid, observed, notes = [], [], []
     for p in primes:
         alpha = 2
-        while alpha <= alpha_max and p**alpha <= c_cap:
+        while alpha <= alpha_max and p**alpha <= CRITICAL_POINT_C_CAP:
             c = p**alpha
             for _ in range(tuples_per_c):
                 a1, a2, a3 = (rng.randrange(-c, c) for _ in range(3))

@@ -35,6 +35,13 @@ TWO_PI = 2.0 * math.pi
 
 _MAX_PANELS = 8192
 
+_OSC_TOL = 1e-8  # absolute tolerance of oscillatory_integral
+
+# Sample counts and constant with which the bound checks verify hypotheses.
+_BOUND_SAMPLES = 4001
+_DECAY_SAMPLES = 2001
+_DECAY_HYP_CONSTANT = 10.0
+
 
 class QuadratureError(ArithmeticError):
     """Quadrature failed to reach the requested tolerance."""
@@ -46,10 +53,6 @@ class QuadratureError(ArithmeticError):
 
 class RejectedSpecError(ValueError):
     """Sampled hypotheses of a bound check failed; the spec is rejected."""
-
-
-class BoundViolationError(AssertionError):
-    """An explicit-constant oscillatory bound was violated."""
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,7 @@ class OscillatoryResult:
         return abs(self.value)
 
 
-def oscillatory_integral(spec: PhaseSpec, tol: float = 1e-8) -> OscillatoryResult:
+def oscillatory_integral(spec: PhaseSpec) -> OscillatoryResult:
     """Adaptive quadrature of int G e^{iF}; panels are chosen from the
     sampled phase derivative so each holds at most a few oscillations."""
     xs = np.linspace(spec.a, spec.b, 2049)
@@ -293,7 +296,7 @@ def oscillatory_integral(spec: PhaseSpec, tol: float = 1e-8) -> OscillatoryResul
     edges = [spec.a, *[float(xs[min(i, len(xs) - 1)]) for i in idx], spec.b]
     edges = sorted(set(edges))
 
-    eps = tol / (4 * max(1, len(edges) - 1))
+    eps = _OSC_TOL / (4 * max(1, len(edges) - 1))
     re_parts, im_parts, err = [], [], 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         re, ere = quad(lambda x: spec.g(x) * math.cos(spec.f(x)), a, b,
@@ -304,7 +307,7 @@ def oscillatory_integral(spec: PhaseSpec, tol: float = 1e-8) -> OscillatoryResul
         im_parts.append(im)
         err += ere + eim
     value = complex(pairwise_sum(re_parts), pairwise_sum(im_parts))
-    if err > tol:
+    if err > _OSC_TOL:
         raise QuadratureError("oscillatory integral did not converge", achieved=err)
     return OscillatoryResult(value=value, error=err, panels=len(edges) - 1)
 
@@ -326,11 +329,6 @@ def _sample(fn, a, b, n):
     return np.array([fn(float(x)) for x in np.linspace(a, b, n)])
 
 
-def _is_monotone(values: np.ndarray, slack: float) -> bool:
-    d = np.diff(values)
-    return bool(np.all(d >= -slack) or np.all(d <= slack))
-
-
 def _count_monotone_pieces(values: np.ndarray, slack: float) -> int:
     d = np.diff(values)
     signs = [1 if v > slack else -1 if v < -slack else 0 for v in d]
@@ -346,62 +344,46 @@ def _count_monotone_pieces(values: np.ndarray, slack: float) -> int:
     return pieces
 
 
-def check_first_derivative_bound(spec: PhaseSpec, m: float, samples: int = 4001,
-                                 strict: bool = True) -> BoundCheckReport:
-    """Monotone-amplitude, nonvanishing-phase-derivative bound
-    |int G e^{iF}| <= 4 M / m.
-
-    Hypotheses are verified by dense sampling; inputs failing them are
-    rejected rather than asserted.
-    """
-    if m <= 0:
-        raise ValueError("m must be positive")
-    g_vals = _sample(spec.g, spec.a, spec.b, samples)
-    slack = 1e-12 * (1.0 + float(np.max(np.abs(g_vals))))
-    if not _is_monotone(g_vals, slack):
-        raise RejectedSpecError("G is not monotonic on [a, b]")
-    if np.min(g_vals) < -slack or np.max(g_vals) > spec.amp_bound + slack:
-        raise RejectedSpecError("G leaves [0, M]")
-    df_vals = _sample(spec.df, spec.a, spec.b, samples)
-    if not (np.all(df_vals > m) or np.all(df_vals < -m)):
-        raise RejectedSpecError("F' does not stay one-signed above m")
-    result = oscillatory_integral(spec)
-    bound = 4.0 * spec.amp_bound / m
-    observed = abs(result.value)
-    passed = observed <= bound + result.error + 1e-12
-    report = BoundCheckReport("first-derivative 4M/m", observed, bound, result.error, passed)
-    if strict and not passed:
-        raise BoundViolationError(f"|I| = {observed} exceeds 4M/m = {bound}")
-    return report
-
-
-def check_second_derivative_bound(spec: PhaseSpec, r: float, pieces: int | None = None,
-                                  samples: int = 4001, strict: bool = True) -> BoundCheckReport:
-    """Convex/concave-phase bound |int G e^{iF}| <= 8 K M / sqrt(r) for
-    piecewise-monotone G with K pieces."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if spec.d2f is None:
-        raise ValueError("spec must provide F'' for the second-derivative bound")
-    k_pieces = spec.g_pieces if pieces is None else pieces
-    g_vals = _sample(spec.g, spec.a, spec.b, samples)
+def _check_bound(spec: PhaseSpec, label: str, k_pieces: int, phase_derivative,
+                 floor: float, bound: float) -> BoundCheckReport:
+    # The hypotheses shared by both bounds, verified by dense sampling: G
+    # stays in [0, M] with at most k_pieces monotone pieces, and the given
+    # phase derivative stays one-signed above floor. Inputs failing them are
+    # rejected rather than asserted.
+    g_vals = _sample(spec.g, spec.a, spec.b, _BOUND_SAMPLES)
     slack = 1e-12 * (1.0 + float(np.max(np.abs(g_vals))))
     if np.min(g_vals) < -slack or np.max(g_vals) > spec.amp_bound + slack:
         raise RejectedSpecError("G leaves [0, M]")
     if _count_monotone_pieces(g_vals, slack) > k_pieces:
         raise RejectedSpecError(f"G has more than {k_pieces} monotone pieces")
-    d2_vals = _sample(spec.d2f, spec.a, spec.b, samples)
-    if not (np.all(d2_vals > r) or np.all(d2_vals < -r)):
-        raise RejectedSpecError("F'' does not stay one-signed above r")
+    d_vals = _sample(phase_derivative, spec.a, spec.b, _BOUND_SAMPLES)
+    if not (np.all(d_vals > floor) or np.all(d_vals < -floor)):
+        raise RejectedSpecError(f"the phase derivative is not one-signed above {floor}")
     result = oscillatory_integral(spec)
-    bound = 8.0 * k_pieces * spec.amp_bound / math.sqrt(r)
     observed = abs(result.value)
     passed = observed <= bound + result.error + 1e-12
-    report = BoundCheckReport("second-derivative 8KM/sqrt(r)", observed, bound,
-                              result.error, passed)
-    if strict and not passed:
-        raise BoundViolationError(f"|I| = {observed} exceeds 8KM/sqrt(r) = {bound}")
-    return report
+    return BoundCheckReport(label, observed, bound, result.error, passed)
+
+
+def check_first_derivative_bound(spec: PhaseSpec, m: float) -> BoundCheckReport:
+    """Monotone-amplitude, nonvanishing-phase-derivative bound
+    |int G e^{iF}| <= 4 M / m, with F' one-signed above m."""
+    if m <= 0:
+        raise ValueError("m must be positive")
+    return _check_bound(spec, "first-derivative 4M/m", 1, spec.df, m,
+                        4.0 * spec.amp_bound / m)
+
+
+def check_second_derivative_bound(spec: PhaseSpec, r: float) -> BoundCheckReport:
+    """Convex/concave-phase bound |int G e^{iF}| <= 8 K M / sqrt(r) for G
+    with K = spec.g_pieces monotone pieces and F'' one-signed above r."""
+    if r <= 0:
+        raise ValueError("r must be positive")
+    if spec.d2f is None:
+        raise ValueError("spec must provide F'' for the second-derivative bound")
+    k_pieces = spec.g_pieces
+    return _check_bound(spec, "second-derivative 8KM/sqrt(r)", k_pieces, spec.d2f, r,
+                        8.0 * k_pieces * spec.amp_bound / math.sqrt(r))
 
 
 @dataclass(frozen=True)
@@ -414,36 +396,34 @@ class DecayReport:
     fitted_constant: float
 
 
-def check_nonstationary_decay(specs: Sequence[PhaseSpec], order: int,
-                              hyp_constant: float = 10.0,
-                              samples: int = 2001) -> DecayReport:
+def check_nonstationary_decay(specs: Sequence[PhaseSpec], order: int) -> DecayReport:
     """Repeated integration-by-parts decay: |int e^{iF} W| against
     (b-a)^(1-N) Phi^(-N) across a family with growing Phi = inf |F'|.
 
     Scale hypotheses (W and F derivatives bounded on the interval scale,
-    relative to Phi) are verified by sampling with the given constant.
+    relative to Phi) are verified by sampling, with constant 10.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     phis, observed, quantities, ratios = [], [], [], []
     for spec in specs:
         length = spec.b - spec.a
-        df_vals = _sample(spec.df, spec.a, spec.b, samples)
+        df_vals = _sample(spec.df, spec.a, spec.b, _DECAY_SAMPLES)
         phi = float(np.min(np.abs(df_vals)))
         if phi <= 0.0:
             raise RejectedSpecError("F' vanishes; Phi must be positive")
-        if float(np.max(np.abs(df_vals))) > hyp_constant * phi:
+        if float(np.max(np.abs(df_vals))) > _DECAY_HYP_CONSTANT * phi:
             raise RejectedSpecError("F' is not comparable to Phi on the interval")
         if spec.d2f is not None:
-            d2_vals = _sample(spec.d2f, spec.a, spec.b, samples)
-            if float(np.max(np.abs(d2_vals))) * length > hyp_constant * phi:
+            d2_vals = _sample(spec.d2f, spec.a, spec.b, _DECAY_SAMPLES)
+            if float(np.max(np.abs(d2_vals))) * length > _DECAY_HYP_CONSTANT * phi:
                 raise RejectedSpecError("F'' violates the scale hypothesis")
-        g_vals = _sample(spec.g, spec.a, spec.b, samples)
-        if float(np.max(np.abs(g_vals))) > hyp_constant:
+        g_vals = _sample(spec.g, spec.a, spec.b, _DECAY_SAMPLES)
+        if float(np.max(np.abs(g_vals))) > _DECAY_HYP_CONSTANT:
             raise RejectedSpecError("W violates the scale hypothesis at order 0")
-        step = length / (samples - 1)
+        step = length / (_DECAY_SAMPLES - 1)
         w1 = np.diff(g_vals) / step
-        if float(np.max(np.abs(w1))) * length > hyp_constant * 1.5:
+        if float(np.max(np.abs(w1))) * length > _DECAY_HYP_CONSTANT * 1.5:
             raise RejectedSpecError("W' violates the scale hypothesis")
         result = oscillatory_integral(spec)
         quantity = length ** (1 - order) * phi ** (-order)

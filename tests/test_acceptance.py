@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` or, equivalently, via the
 CLI as `palindrome-lab verify-all`.
 """
 
+from pathlib import Path
+
 import pytest
 
 from palindrome_lab import acceptance, census
@@ -64,9 +66,16 @@ def test_criterion_10_determinism():
     _run(acceptance.criterion_determinism)
 
 
+REFERENCE_CSV = (Path(__file__).resolve().parents[1]
+                 / "perfbench" / "reference" / "verify_quick_c1-9.csv")
+
+
 def test_verify_all_quick_contract(tmp_path):
-    # the CLI smoke mode finishes quickly and exits 0
+    # the CLI smoke mode finishes quickly and exits 0, and the header and
+    # criteria 1-9 match the recorded report byte for byte
     out = tmp_path / "verify.csv"
     code = main(["verify-all", "--quick", "--output", str(out)])
     print(out.read_text())
     assert code == 0
+    head = out.read_bytes().splitlines(keepends=True)[:10]
+    assert b"".join(head) == REFERENCE_CSV.read_bytes()

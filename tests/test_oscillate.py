@@ -9,7 +9,6 @@ import pytest
 from palindrome_lab.oscillate import (
     PHI,
     PSI,
-    BoundViolationError,
     PhaseSpec,
     QuadratureError,
     RejectedSpecError,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from palindrome_lab.digits import is_palindrome
 from palindrome_lab.streams import (
     count_fixed_length,
     count_up_to,
@@ -98,6 +99,16 @@ def test_count_up_to_is_exact(b, x):
     assert count_up_to(b, x) == len(list(stream_up_to(b, x)))
 
 
+@given(st.integers(2, 16), st.integers(1, 20000), st.booleans())
+def test_up_to_matches_palindrome_scan(b, x, restricted):
+    # oracle independent of the half-prefix cutoff: test every n <= x
+    pals = [n for n in range(1, x + 1) if is_palindrome(n, b)]
+    assert count_up_to(b, x) == len(pals)
+    if restricted:
+        pals = [n for n in pals if gcd(n, b**3 - b) == 1]
+    assert list(stream_up_to(b, x, restricted=restricted)) == pals
+
+
 def test_count_up_to_at_powers():
     assert count_up_to(10, 10**10) == 199998
     assert count_up_to(2, 2**20) == count_up_to(2, 2**20 - 1)
@@ -112,6 +123,20 @@ def test_overflow_guards():
         count_fixed_length(2, 200)
     # largest allowed scale still constructs
     stream_fixed_length(2, 127)
+
+
+def test_count_and_stream_share_the_bound():
+    for x in (2**127, 2**128):
+        with pytest.raises(OverflowError):
+            count_up_to(10, x)
+        with pytest.raises(OverflowError):
+            stream_up_to(10, x)
+    assert count_up_to(10, 0) == 0
+    assert count_up_to(10, -5) == 0
+    # 10**38 has 39 digits and 10**39 > 2**127: the partial last segment
+    # must not go through the fixed-length overflow check
+    assert count_up_to(10, 10**38) == 19999999999999999998
+    stream_up_to(10, 10**38)
 
 
 def test_palindrome_from_half_paths():
