@@ -38,7 +38,6 @@ from .oscillate import (
     PSI,
     PhaseSpec,
     SmoothBump,
-    bump_eval,
     check_first_derivative_bound,
     check_nonstationary_decay,
     check_second_derivative_bound,

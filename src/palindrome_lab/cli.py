@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import acceptance, census, expsum, harness, oscillate
 from .digits import to_digits
@@ -28,72 +26,6 @@ def _output(args):
         return
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
         yield handle
-
-
-# ---------------------------------------------------------------------------
-# subcommand records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SbdRecord:
-    base: int
-    x: int
-    d_dyadic: int
-    count_stream: int
-    count_multiples: int
-
-
-@dataclass(frozen=True)
-class K2Record:
-    a1: int
-    a2: int
-    a3: int
-    q: int
-    c: int
-    full_re: float
-    full_im: float
-    stationary_re: float
-    stationary_im: float
-    difference: float
-
-
-@dataclass(frozen=True)
-class PoissonRecord:
-    demo: str
-    q: int
-    lhs_re: float
-    lhs_im: float
-    rhs_re: float
-    rhs_im: float
-    difference: float
-    modes: int
-
-
-@dataclass(frozen=True)
-class OscillateRecord:
-    family: str
-    index: int
-    observed: float
-    bound: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VdcRecord:
-    family: str
-    d_dyadic: int
-    q_max: int
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-@dataclass(frozen=True)
-class DiscrepancyRecord:
-    base: int
-    x: int
-    d_max: int
-    value: float
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +71,10 @@ def cmd_census(args) -> int:
 def cmd_sbd(args) -> int:
     via_stream = census.s_b(args.base, args.max, args.d, strategy="stream")
     via_multiples = census.s_b(args.base, args.max, args.d, strategy="multiples")
-    rec = SbdRecord(base=args.base, x=args.max, d_dyadic=args.d,
-                    count_stream=via_stream, count_multiples=via_multiples)
+    row = dict(base=args.base, x=args.max, d_dyadic=args.d,
+               count_stream=via_stream, count_multiples=via_multiples)
     with _output(args) as out:
-        emit([rec], args.format, out)
+        emit([row], args.format, out)
     return 0 if via_stream == via_multiples else 1
 
 
@@ -154,12 +86,12 @@ def cmd_k2(args) -> int:
     else:
         sp = full
     diff = abs(full - sp)
-    rec = K2Record(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q, c=args.c,
-                   full_re=full.real, full_im=full.imag,
-                   stationary_re=sp.real, stationary_im=sp.imag, difference=diff)
+    row = dict(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q, c=args.c,
+               full_re=full.real, full_im=full.imag,
+               stationary_re=sp.real, stationary_im=sp.imag, difference=diff)
     with _output(args) as out:
-        emit([rec], args.format, out)
-    if args.check_identity and diff >= 1e-9 * math.sqrt(args.c):
+        emit([row], args.format, out)
+    if args.check_identity and diff >= expsum.STATIONARY_PHASE_TOL * math.sqrt(args.c):
         print(f"k2: identity violated, |full - stationary| = {fmt_real(diff)}",
               file=sys.stderr)
         return 1
@@ -167,62 +99,39 @@ def cmd_k2(args) -> int:
 
 
 def cmd_poisson(args) -> int:
-    q = args.q
-    if args.demo == "triangle":
-        f = lambda u: max(0.0, 1.0 - abs(u))
-        rep = expsum.poisson_check(f, [1.0] * q, support=(-1.0, 1.0),
-                                   breakpoints=(0.0,))
-    else:
-        g_vals = [complex(math.cos(2 * math.pi * y / q), math.sin(2 * math.pi * y / q))
-                  for y in range(q)]
-        rep = expsum.poisson_check(oscillate.PSI, g_vals)
-    rec = PoissonRecord(demo=args.demo, q=q,
-                        lhs_re=rep.lhs.real, lhs_im=rep.lhs.imag,
-                        rhs_re=rep.rhs.real, rhs_im=rep.rhs.imag,
-                        difference=rep.difference, modes=rep.m_cut)
+    rep = expsum.poisson_demo(args.demo, args.q)
+    row = dict(demo=args.demo, q=args.q,
+               lhs_re=rep.lhs.real, lhs_im=rep.lhs.imag,
+               rhs_re=rep.rhs.real, rhs_im=rep.rhs.imag,
+               difference=rep.difference, modes=rep.m_cut)
     with _output(args) as out:
-        emit([rec], args.format, out)
-    return 0 if rep.difference < 1e-8 else 1
+        emit([row], args.format, out)
+    return 0 if rep.difference < expsum.POISSON_TOL else 1
 
 
 def cmd_oscillate(args) -> int:
-    rng = random.Random(args.seed)
-    records = []
-    failures = 0
-    for i in range(args.count):
-        spec, m = oscillate.random_first_derivative_spec(rng)
-        rep = oscillate.check_first_derivative_bound(spec, m)
-        records.append(OscillateRecord("first-derivative", i, rep.observed,
-                                       rep.bound, rep.passed))
-        failures += 0 if rep.passed else 1
-    for i in range(args.count):
-        spec, r = oscillate.random_second_derivative_spec(rng)
-        rep = oscillate.check_second_derivative_bound(spec, r)
-        records.append(OscillateRecord("second-derivative", i, rep.observed,
-                                       rep.bound, rep.passed))
-        failures += 0 if rep.passed else 1
+    reports = oscillate.bound_campaign(args.seed, args.count)
+    rows = [dict(family=family, index=i, observed=rep.observed, bound=rep.bound,
+                 passed=rep.passed) for family, i, rep in reports]
     with _output(args) as out:
-        emit(records, args.format, out)
-    return 0 if failures == 0 else 1
+        emit(rows, args.format, out)
+    return 0 if all(rep.passed for _, _, rep in reports) else 1
 
 
 def cmd_vdc(args) -> int:
-    records = []
-    worst = 0.0
-    for name, z in harness._vdc_families(args.d, args.q_max, args.seed):
-        rep = harness.weyl_vdc_check(z, args.d, args.q_max)
-        records.append(VdcRecord(name, args.d, args.q_max, rep.lhs, rep.rhs, rep.ratio))
-        worst = max(worst, rep.ratio)
+    reports = harness.weyl_vdc_reports(args.d, args.q_max, args.seed)
+    rows = [dict(family=family, d_dyadic=args.d, q_max=args.q_max,
+                 lhs=rep.lhs, rhs=rep.rhs, ratio=rep.ratio) for family, rep in reports]
     with _output(args) as out:
-        emit(records, args.format, out)
-    return 0 if worst <= 4.0 else 1
+        emit(rows, args.format, out)
+    return 0 if all(rep.ratio <= 4.0 for _, rep in reports) else 1
 
 
 def cmd_discrepancy(args) -> int:
     value = census.equidistribution_discrepancy(args.base, args.max, args.d_max)
-    rec = DiscrepancyRecord(base=args.base, x=args.max, d_max=args.d_max, value=value)
+    row = dict(base=args.base, x=args.max, d_max=args.d_max, value=value)
     with _output(args) as out:
-        emit([rec], args.format, out)
+        emit([row], args.format, out)
     return 0
 
 

@@ -27,12 +27,19 @@ from functools import lru_cache
 from math import gcd
 
 from . import arith
-from .oscillate import fourier_transform
+from .oscillate import PSI, fourier_transform
 
 TWO_PI = 2.0 * math.pi
 
 # above this modulus, k2 switches to the stationary-phase form
 STATIONARY_PHASE_THRESHOLD = 2048
+
+# |k2_full - k2_stationary_phase| must stay below this times sqrt(c)
+STATIONARY_PHASE_TOL = 1e-9
+
+# a Poisson check passes when |lhs - rhs| is below this; the dual sum is
+# extended until its tail estimate is too
+POISSON_TOL = 1e-8
 
 
 class PoissonTailError(ArithmeticError):
@@ -209,13 +216,13 @@ class PoissonReport:
         return abs(self.lhs - self.rhs)
 
 
-def poisson_check(f, g_values, support=None, tol: float = 1e-8,
-                  max_modes: int = 20000, breakpoints=None) -> PoissonReport:
+def poisson_check(f, g_values, support=None, max_modes: int = 20000,
+                  breakpoints=None) -> PoissonReport:
     """Verify sum_n f(n) g(n) = q^(-1/2) sum_m fhat(m/q) ghat(m) for a
     continuous compactly supported f and a q-periodic g.
 
     g is given by its q values (g_values[j] = g(j)); the dual sum is extended
-    until a decay-based tail estimate falls below tolerance, which fails
+    until a decay-based tail estimate falls below POISSON_TOL, which fails
     loudly when fhat does not decay.
     """
     g_values = [complex(v) for v in g_values]
@@ -243,7 +250,7 @@ def poisson_check(f, g_values, support=None, tol: float = 1e-8,
     sqrt_q = math.sqrt(q)
 
     def ft(k: float) -> complex:
-        return fourier_transform(f, k, support=support, tol=tol * 1e-3,
+        return fourier_transform(f, k, support=support, tol=POISSON_TOL * 1e-3,
                                  breakpoints=breakpoints)
     rhs = ft(0.0) * ghat[0] / sqrt_q
     m = 0
@@ -262,7 +269,7 @@ def poisson_check(f, g_values, support=None, tol: float = 1e-8,
         rhs += term
         block_abs += abs(term)
         if m % q == 0 or q == 1:
-            if block_abs < tol / 64.0 and m >= 4 * q + 4:
+            if block_abs < POISSON_TOL / 64.0 and m >= 4 * q + 4:
                 quiet_blocks += 1
                 if quiet_blocks >= 2:
                     break
@@ -272,3 +279,19 @@ def poisson_check(f, g_values, support=None, tol: float = 1e-8,
             block_abs = 0.0
     tail_estimate = prev_block_abs * (m / q + 1.0)
     return PoissonReport(lhs=lhs, rhs=rhs, m_cut=m, tail_estimate=tail_estimate)
+
+
+def triangle(u: float) -> float:
+    """The hat function max(0, 1 - |u|): continuous, with kinks at -1, 0, 1."""
+    return max(0.0, 1.0 - abs(u))
+
+
+def poisson_demo(demo: str, q: int) -> PoissonReport:
+    """poisson_check on a named pair of period q: "triangle" (the hat on
+    [-1, 1] against g = 1) or "psi" (the psi bump against g(y) = e(y/q))."""
+    if demo == "triangle":
+        return poisson_check(triangle, [1.0] * q, support=(-1.0, 1.0), breakpoints=(0.0,))
+    if demo == "psi":
+        return poisson_check(PSI, [complex(math.cos(TWO_PI * y / q), math.sin(TWO_PI * y / q))
+                                   for y in range(q)])
+    raise ValueError(f"unknown Poisson demo {demo!r}")

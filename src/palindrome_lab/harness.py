@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -62,7 +63,8 @@ def _make_fit(label, grid, observed, notes=()):
 # ---------------------------------------------------------------------------
 
 def _check_sb_budget(b, x, d_dyadic, budget):
-    if min(census.s_b_costs(b, x, d_dyadic)) > budget.max_probes:
+    # the fits run strategy="both", which pays for both strategies
+    if sum(census.s_b_costs(b, x, d_dyadic)) > budget.max_probes:
         raise BudgetExceededError(f"s_b probe budget exceeded at x={x}, D={d_dyadic}")
 
 
@@ -183,33 +185,29 @@ def weyl_vdc_check(z: Mapping[int, complex], d_dyadic: int, q_max: int) -> WeylV
     return WeylVdcReport(d_dyadic=d_cap, q_max=q, lhs=lhs, rhs=rhs)
 
 
-def _vdc_families(d_dyadic: int, q_max: int, seed: int):
-    import random
-
+def weyl_vdc_reports(d_dyadic: int, q_max: int, seed: int) -> list[tuple[str, WeylVdcReport]]:
+    """weyl_vdc_check on each canonical sequence family, seeded: constant,
+    random phase, linear phase, quadratic phase. Rows are (family, report)."""
     rng = random.Random(seed)
-    lo = math.floor(d_dyadic / 2)
-    hi = math.ceil(5 * d_dyadic / 2) + q_max
-    idx = range(lo, hi + 1)
-
-    ones = {d: 1.0 + 0.0j for d in idx}
-    yield "constant", ones
+    idx = range(math.floor(d_dyadic / 2), math.ceil(5 * d_dyadic / 2) + q_max + 1)
     rand = {d: cmath.exp(2j * math.pi * rng.random()) for d in idx}
-    yield "random-phase", rand
     theta = rng.random()
-    yield "linear-phase", {d: cmath.exp(2j * math.pi * theta * d) for d in idx}
     theta2 = rng.random() / d_dyadic
-    yield "quadratic-phase", {d: cmath.exp(2j * math.pi * theta2 * d * d) for d in idx}
+    families = (
+        ("constant", {d: 1.0 + 0.0j for d in idx}),
+        ("random-phase", rand),
+        ("linear-phase", {d: cmath.exp(2j * math.pi * theta * d) for d in idx}),
+        ("quadratic-phase", {d: cmath.exp(2j * math.pi * theta2 * d * d) for d in idx}),
+    )
+    return [(name, weyl_vdc_check(z, d_dyadic, q_max)) for name, z in families]
 
 
 def weyl_vdc_campaign(d_dyadic: int, q_max: int, seed: int = DEFAULT_SEED) -> BoundFit:
-    """Ratios lhs/rhs over the canonical sequence families (constant, random
-    phase, linear phase, quadratic phase)."""
-    grid, observed = [], []
-    for name, z in _vdc_families(d_dyadic, q_max, seed):
-        report = weyl_vdc_check(z, d_dyadic, q_max)
-        grid.append((name, d_dyadic, q_max))
-        observed.append(report.ratio)
-    return _make_fit("weyl-vdc lhs/rhs", grid, observed)
+    """Ratios lhs/rhs over the canonical sequence families of
+    weyl_vdc_reports."""
+    reports = weyl_vdc_reports(d_dyadic, q_max, seed)
+    return _make_fit("weyl-vdc lhs/rhs", [(name, d_dyadic, q_max) for name, _ in reports],
+                     [report.ratio for _, report in reports])
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,6 @@ def fit_critical_point_bound(primes: Sequence[int], alpha_max: int,
     fitted (the literal count can vanish while K2 does not when unit classes
     degenerate mod c1).
     """
-    import random
-
     rng = random.Random(seed)
     grid, observed, notes = [], [], []
     for p in primes:

@@ -18,6 +18,7 @@ is expanded by power-series division at the evaluation point.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Sequence
@@ -132,20 +133,16 @@ def ramp_derivative(t: float, order: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 class SmoothBump:
-    """A plateau bump with two C-infinity monotone ramps."""
+    """A bump that is 1 on the plateau [p0, p1], 0 outside the support
+    (lo, hi), and joined by two C-infinity monotone ramps."""
 
-    def __init__(self, kind: str):
-        if kind == "psi":
-            self.support = (0.5, 2.5)
-            self.plateau = (1.0, 2.0)
-        elif kind == "phi":
-            self.support = (-2.0, 2.0)
-            self.plateau = (-1.0, 1.0)
-        else:
-            raise ValueError(f"unknown bump kind {kind!r}")
-        self.kind = kind
-        lo, hi = self.support
-        p0, p1 = self.plateau
+    def __init__(self, support: tuple[float, float], plateau: tuple[float, float]):
+        lo, hi = support
+        p0, p1 = plateau
+        if not lo < p0 <= p1 < hi:
+            raise ValueError("need lo < p0 <= p1 < hi")
+        self.support = support
+        self.plateau = plateau
         self._rise_scale = 1.0 / (p0 - lo)
         self._fall_scale = 1.0 / (hi - p1)
 
@@ -168,17 +165,8 @@ class SmoothBump:
         return self.derivative(x, 0)
 
 
-PSI = SmoothBump("psi")
-PHI = SmoothBump("phi")
-
-
-def bump_eval(kind: str, x: float, order: int = 0) -> float:
-    """Value (order 0) or derivative of the canonical psi/phi bump."""
-    if kind == "psi":
-        return PSI.derivative(x, order)
-    if kind == "phi":
-        return PHI.derivative(x, order)
-    raise ValueError(f"unknown bump kind {kind!r}")
+PSI = SmoothBump((0.5, 2.5), (1.0, 2.0))
+PHI = SmoothBump((-2.0, 2.0), (-1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +471,18 @@ def random_second_derivative_spec(rng) -> tuple[PhaseSpec, float]:
     spec = PhaseSpec(f=f, df=df, d2f=d2f, g=g, a=a, b=b,
                      amp_bound=max(knots_y), g_pieces=k_pieces)
     return spec, 0.999 * gamma
+
+
+def bound_campaign(seed: int, count: int) -> list[tuple[str, int, BoundCheckReport]]:
+    """The seeded bound-check campaign: count random specs checked against
+    4M/m, then count checked against 8KM/sqrt(r), all drawn from one rng.
+    Rows are (family, index, report)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        spec, m = random_first_derivative_spec(rng)
+        out.append(("first-derivative", i, check_first_derivative_bound(spec, m)))
+    for i in range(count):
+        spec, r = random_second_derivative_spec(rng)
+        out.append(("second-derivative", i, check_second_derivative_bound(spec, r)))
+    return out

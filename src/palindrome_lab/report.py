@@ -1,5 +1,7 @@
 """Deterministic CSV/JSON emission for census rows, bound fits, and reports.
 
+A row is a dict or a flat dataclass; its keys (fields) are the columns.
+
 Counts are printed as exact decimal integers; reals are rounded to 12
 significant digits so reports are byte-identical across runs and diffable.
 """
@@ -34,6 +36,12 @@ def _cell(value):
     return str(value)
 
 
+def _fields(row) -> dict:
+    if isinstance(row, dict):
+        return row
+    return {f.name: getattr(row, f.name) for f in dataclasses.fields(row)}
+
+
 def _jsonable(value):
     if isinstance(value, bool) or isinstance(value, int) or isinstance(value, str):
         return value
@@ -43,20 +51,19 @@ def _jsonable(value):
         return {"re": round_real(value.real), "im": round_real(value.imag)}
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict) or dataclasses.is_dataclass(value):
+        return {name: _jsonable(v) for name, v in _fields(value).items()}
     return str(value)
 
 
-def rows_from_dataclasses(objs) -> tuple[list[str], list[list[str]]]:
-    """Header (field names) and formatted cells for a list of dataclasses of
-    one type."""
-    objs = list(objs)
-    if not objs:
+def table(rows) -> tuple[list[str], list[list[str]]]:
+    """Header (the first row's keys) and formatted cells for rows of one
+    shape."""
+    rows = [_fields(row) for row in rows]
+    if not rows:
         return [], []
-    fields = [f.name for f in dataclasses.fields(objs[0])]
-    rows = [[_cell(getattr(o, name)) for name in fields] for o in objs]
-    return fields, rows
+    header = list(rows[0])
+    return header, [[_cell(row[name]) for name in header] for row in rows]
 
 
 def render_csv(header: list[str], rows: list[list[str]]) -> str:
@@ -71,12 +78,11 @@ def render_json(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=False) + "\n"
 
 
-def emit(objs, fmt: str, out) -> None:
-    """Write dataclass rows as CSV or a JSON document to a file object."""
+def emit(rows, fmt: str, out) -> None:
+    """Write rows as CSV or a JSON document to a file object."""
     if fmt == "csv":
-        header, rows = rows_from_dataclasses(objs)
-        out.write(render_csv(header, rows))
+        out.write(render_csv(*table(rows)))
     elif fmt == "json":
-        out.write(render_json(list(objs)))
+        out.write(render_json(list(rows)))
     else:
         raise ValueError(f"unknown output format {fmt!r}")

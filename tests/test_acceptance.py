@@ -58,6 +58,12 @@ def test_criterion_8_prop1_shape():
     _run(acceptance.criterion_prop1_shape)
 
 
+def test_criterion_8_fails_on_zero_count(monkeypatch):
+    # all-zero ratios satisfy last <= 1.10 * first; the gate must still fail
+    monkeypatch.setattr(census, "s_b", lambda *args, **kwargs: 0)
+    assert not acceptance.criterion_prop1_shape(quick=True).passed
+
+
 def test_criterion_9_averaged_k2_stability():
     _run(acceptance.criterion_averaged_k2_stability)
 

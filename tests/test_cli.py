@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +130,27 @@ def test_csv_quoting_is_rfc4180(tmp_path):
     code, text = run_cli(["census", "--base", "2", "--max", "1000"], tmp_path)
     assert code == 0
     assert text.endswith("\n")
+
+
+# Golden reports: every byte of each subcommand's CSV and JSON output, and its
+# exit code. Regenerate a file only when a report is meant to change.
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+GOLDEN_CASES = {
+    "census": ["census", "--base", "10", "--max", "100000", "--digits", "5"],
+    "sbd": ["sbd", "--base", "10", "--max", "100000", "--d", "5"],
+    "k2_c64": ["k2", "--a1", "2", "--a2", "3", "--c", "64", "--check-identity"],
+    "k2_c1": ["k2", "--a1", "3", "--a2", "5", "--c", "1"],
+    "poisson_triangle": ["poisson", "--demo", "triangle", "--q", "1"],
+    "poisson_psi": ["poisson", "--demo", "psi", "--q", "2"],
+    "oscillate": ["oscillate", "--count", "4"],
+    "vdc": ["vdc", "--d", "128", "--q-max", "8"],
+    "discrepancy": ["discrepancy", "--base", "10", "--max", "100000", "--d-max", "8"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_matches_golden(name, fmt, tmp_path):
+    path = tmp_path / f"out.{fmt}"
+    assert main(GOLDEN_CASES[name] + ["--format", fmt, "--output", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()

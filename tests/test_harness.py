@@ -86,6 +86,10 @@ def test_fit_prop1_per_base_constants():
 def test_fit_prop1_budget_guard():
     with pytest.raises(BudgetExceededError):
         fit_prop1(10, [10**8], [10**3], budget=Budget(max_probes=10))
+    # strategy="both" pays for both strategies: 21,978 + 56,404 probes here,
+    # while the cheaper one alone fits the budget
+    with pytest.raises(BudgetExceededError):
+        fit_prop1(10, [10**6], [10], budget=Budget(max_probes=30000))
 
 
 def test_fit_prop2_prop3_windows():

@@ -12,7 +12,7 @@ from palindrome_lab.oscillate import (
     PhaseSpec,
     QuadratureError,
     RejectedSpecError,
-    bump_eval,
+    SmoothBump,
     check_first_derivative_bound,
     check_nonstationary_decay,
     check_second_derivative_bound,
@@ -27,23 +27,23 @@ from palindrome_lab.oscillate import (
 # ---------------------------------------------------------------- bumps
 
 def test_bump_plateau_and_support():
-    assert bump_eval("psi", 1.5, 0) == 1.0
-    assert bump_eval("psi", 1.0, 0) == 1.0
-    assert bump_eval("psi", 2.0, 0) == 1.0
-    assert bump_eval("phi", 3.0, 0) == 0.0
-    assert bump_eval("phi", 0.0, 0) == 1.0
-    assert bump_eval("psi", 0.5, 0) == 0.0
-    assert bump_eval("psi", 2.5, 0) == 0.0
-    assert bump_eval("psi", 0.75, 0) == pytest.approx(0.5)
+    assert PSI.derivative(1.5, 0) == 1.0
+    assert PSI.derivative(1.0, 0) == 1.0
+    assert PSI.derivative(2.0, 0) == 1.0
+    assert PHI.derivative(3.0, 0) == 0.0
+    assert PHI.derivative(0.0, 0) == 1.0
+    assert PSI.derivative(0.5, 0) == 0.0
+    assert PSI.derivative(2.5, 0) == 0.0
+    assert PSI.derivative(0.75, 0) == pytest.approx(0.5)
 
 
 def test_bump_range_and_monotone_ramps():
     xs = np.linspace(0.4, 2.6, 1201)
-    vals = [bump_eval("psi", float(x)) for x in xs]
+    vals = [PSI.derivative(float(x)) for x in xs]
     assert min(vals) >= 0.0 and max(vals) <= 1.0
-    rise = [bump_eval("psi", float(x)) for x in np.linspace(0.5, 1.0, 300)]
+    rise = [PSI.derivative(float(x)) for x in np.linspace(0.5, 1.0, 300)]
     assert all(b >= a for a, b in zip(rise, rise[1:]))
-    fall = [bump_eval("psi", float(x)) for x in np.linspace(2.0, 2.5, 300)]
+    fall = [PSI.derivative(float(x)) for x in np.linspace(2.0, 2.5, 300)]
     assert all(b <= a for a, b in zip(fall, fall[1:]))
 
 
@@ -53,8 +53,8 @@ def test_bump_first_derivative_matches_central_differences():
     worst = 0.0
     for _ in range(1000):
         x = rng.uniform(0.4, 2.6)
-        fd = (bump_eval("psi", x + h) - bump_eval("psi", x - h)) / (2 * h)
-        worst = max(worst, abs(fd - bump_eval("psi", x, 1)))
+        fd = (PSI.derivative(x + h) - PSI.derivative(x - h)) / (2 * h)
+        worst = max(worst, abs(fd - PSI.derivative(x, 1)))
     assert worst < 1e-6
 
 
@@ -63,8 +63,8 @@ def test_bump_higher_derivatives_consistent():
     h = 1e-6
     for order in (1, 2, 3):
         for x in (0.7, 0.85, 2.2, 2.34):
-            fd = (bump_eval("psi", x + h, order) - bump_eval("psi", x - h, order)) / (2 * h)
-            assert fd == pytest.approx(bump_eval("psi", x, order + 1), rel=1e-4, abs=1e-3)
+            fd = (PSI.derivative(x + h, order) - PSI.derivative(x - h, order)) / (2 * h)
+            assert fd == pytest.approx(PSI.derivative(x, order + 1), rel=1e-4, abs=1e-3)
 
 
 def test_bump_smooth_at_ramp_endpoints():
@@ -72,17 +72,17 @@ def test_bump_smooth_at_ramp_endpoints():
     # plateau and the zero extension
     for x0 in (0.5, 1.0, 2.0, 2.5):
         for order in range(5):
-            inside = bump_eval("psi", x0 + 1e-7, order)
-            outside = bump_eval("psi", x0 - 1e-7, order)
+            inside = PSI.derivative(x0 + 1e-7, order)
+            outside = PSI.derivative(x0 - 1e-7, order)
             assert abs(inside - outside) < 1e-5, (x0, order)
 
 
 def test_bump_order_validation():
     with pytest.raises(ValueError):
-        bump_eval("psi", 1.0, 11)
+        PSI.derivative(1.0, 11)
     with pytest.raises(ValueError):
-        bump_eval("nope", 1.0, 0)
-    assert bump_eval("phi", 1.3, 8) != 0.0  # order 8 available
+        SmoothBump((0.0, 1.0), (2.0, 3.0))  # plateau outside the support
+    assert PHI.derivative(1.3, 8) != 0.0  # order 8 available
 
 
 def test_ramp_basics():
