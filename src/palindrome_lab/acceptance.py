@@ -111,8 +111,6 @@ def criterion_stationary_phase_identity(quick: bool = False, threads: int = 1) -
             a1, a2, a3 = (rng.randrange(-c, c) for _ in range(3))
             q = rng.randrange(-c, c + 1)
             params = expsum.ExpSumParams(a1, a2, a3, q, c)
-            if c == 1:
-                continue
             diff = abs(expsum.k2_full(params) - expsum.k2_stationary_phase(params))
             checked += 1
             worst = max(worst, diff / math.sqrt(c))

@@ -211,22 +211,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(fac.items()))
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    if n == 1:
-        return 0
-    return len(factorize(n))
-
-
-def euler_phi(n: int) -> int:
-    if n == 1:
-        return 1
-    r = n
-    for p in factorize(n):
-        r = r // p * (p - 1)
-    return r
-
-
 # ---------------------------------------------------------------------------
 # squarefree / Mobius
 # ---------------------------------------------------------------------------
@@ -320,18 +304,8 @@ def _icbrt(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# modular inverse and CRT
+# CRT
 # ---------------------------------------------------------------------------
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises ValueError when gcd(a, m) > 1."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    g = gcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible mod {m} (gcd={g})")
-    return pow(a, -1, m)
-
 
 def crt_combine(residues: list[tuple[int, int]]) -> tuple[int, int]:
     """Combine pairwise-coprime congruences (r_i, m_i) into one mod prod(m_i)."""

@@ -43,7 +43,7 @@ def cmd_enumerate(args) -> int:
     with _output(args) as out:
         for n in stream:
             if args.render_digits:
-                rendered = ".".join(str(d) for d in to_digits(n, args.base).reversed_digits())
+                rendered = ".".join(str(d) for d in to_digits(n, args.base)[::-1])
                 out.write(f"{n},{rendered}\n")
             else:
                 out.write(f"{n}\n")
@@ -79,6 +79,11 @@ def cmd_sbd(args) -> int:
 
 
 def cmd_k2(args) -> int:
+    if args.check_identity and args.c < 2:
+        # the stationary-phase form needs c >= 2; below it there is no
+        # second route to compare the direct sum with
+        print("k2: --check-identity requires c >= 2", file=sys.stderr)
+        return 2
     params = expsum.ExpSumParams(args.a1, args.a2, args.a3, args.q, args.c)
     full = expsum.k2_full(params)
     if args.c >= 2:

@@ -1,12 +1,10 @@
-"""Base-b digit expansions, digital reversal, and palindrome predicates.
+"""Base-b digit expansions and the palindrome predicate.
 
-Digit vectors are little-endian: index i holds the coefficient of b**i.
+Digit tuples are little-endian: index i holds the coefficient of b**i.
 All values are exact Python integers; bases 2..64 are supported.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MIN_BASE = 2
 MAX_BASE = 64
@@ -17,68 +15,18 @@ def _check_base(b: int) -> None:
         raise ValueError(f"base must be in [{MIN_BASE}, {MAX_BASE}], got {b}")
 
 
-@dataclass(frozen=True)
-class DigitVec:
-    """A little-endian base-b digit expansion."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        if not self.digits:
-            raise ValueError("digit vector must not be empty")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range [0, {self.base})")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise ValueError("most significant digit must be nonzero")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def reversed_digits(self) -> tuple[int, ...]:
-        return self.digits[::-1]
-
-
-def to_digits(n: int, b: int) -> DigitVec:
-    """Expand n >= 0 in base b."""
+def to_digits(n: int, b: int) -> tuple[int, ...]:
+    """Expand n >= 0 in base b, least significant digit first."""
     _check_base(b)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return DigitVec(b, (0,))
+        return (0,)
     ds = []
     while n:
         n, r = divmod(n, b)
         ds.append(r)
-    return DigitVec(b, tuple(ds))
-
-
-def from_digits(d: DigitVec) -> int:
-    """Evaluate sum(d_i * b**i); exact inverse of to_digits."""
-    n = 0
-    for digit in reversed(d.digits):
-        n = n * d.base + digit
-    return n
-
-
-def digital_reverse(n: int, b: int) -> int:
-    """Reverse the base-b digits of n.
-
-    Requires b to not divide n (so the reversal has the same digit count and
-    the map is an involution); violating that is an error, not a truncation.
-    """
-    _check_base(b)
-    if n <= 0:
-        raise ValueError("digital_reverse requires n >= 1")
-    if n % b == 0:
-        raise ValueError(f"digital_reverse requires b to not divide n ({b} | {n})")
-    r = 0
-    while n:
-        n, digit = divmod(n, b)
-        r = r * b + digit
-    return r
+    return tuple(ds)
 
 
 def is_palindrome(n: int, b: int) -> bool:

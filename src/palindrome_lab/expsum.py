@@ -38,8 +38,11 @@ STATIONARY_PHASE_THRESHOLD = 2048
 STATIONARY_PHASE_TOL = 1e-9
 
 # a Poisson check passes when |lhs - rhs| is below this; the dual sum is
-# extended until its tail estimate is too
+# extended until two blocks of q modes each add less than POISSON_TOL / 64
 POISSON_TOL = 1e-8
+
+# poisson_check raises PoissonTailError beyond this many dual modes
+_POISSON_MAX_MODES = 20000
 
 
 class PoissonTailError(ArithmeticError):
@@ -59,16 +62,6 @@ class ExpSumParams:
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("modulus c must be >= 1")
-
-
-@dataclass(frozen=True)
-class StationarySplit:
-    """c = c1*c2 with exponents split by floor/ceil halves; c1 | c2."""
-
-    c: int
-    c1: int
-    c2: int
-    factorization: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=64)
@@ -113,22 +106,17 @@ def k2_full(params: ExpSumParams) -> complex:
     return total / math.sqrt(c)
 
 
-def k2_simple(a1: int, a2: int, c: int) -> complex:
-    """K2 with a3 = 0 and q = 0."""
-    return k2_full(ExpSumParams(a1, a2, 0, 0, c))
-
-
-def stationary_split(c: int) -> StationarySplit:
-    """Split c into c1 = prod p^floor(a/2), c2 = prod p^ceil(a/2)."""
+def stationary_split(c: int) -> tuple[int, int]:
+    """Split c into (c1, c2) with c1 = prod p^floor(a/2), c2 = prod p^ceil(a/2);
+    c = c1*c2 and c1 | c2."""
     if c < 2:
         raise ValueError("c must be >= 2")
-    fac = arith.factorize(c)
     c1 = 1
     c2 = 1
-    for p, alpha in fac.items():
+    for p, alpha in arith.factorize(c).items():
         c1 *= p ** (alpha // 2)
         c2 *= p ** ((alpha + 1) // 2)
-    return StationarySplit(c=c, c1=c1, c2=c2, factorization=tuple(fac.items()))
+    return c1, c2
 
 
 def k2_stationary_phase(params: ExpSumParams) -> complex:
@@ -142,8 +130,7 @@ def k2_stationary_phase(params: ExpSumParams) -> complex:
     if c < 2:
         raise ValueError("c must be >= 2")
     a1, a2, a3, q = params.a1, params.a2, params.a3, params.q
-    split = stationary_split(c)
-    c1, c2 = split.c1, split.c2
+    c1, c2 = stationary_split(c)
     total = 0.0 + 0.0j
     for w in range(1, c2 + 1):
         if gcd(w, c) != 1:
@@ -167,7 +154,7 @@ def count_critical_points(params: ExpSumParams) -> int:
     c = params.c
     if c < 2:
         raise ValueError("c must be >= 2")
-    c1 = stationary_split(c).c1
+    c1, _ = stationary_split(c)
     if c1 == 1:
         return 1
     a1, a2, a3, q = params.a1, params.a2, params.a3, params.q
@@ -209,21 +196,21 @@ class PoissonReport:
     lhs: complex
     rhs: complex
     m_cut: int
-    tail_estimate: float
 
     @property
     def difference(self) -> float:
         return abs(self.lhs - self.rhs)
 
 
-def poisson_check(f, g_values, support=None, max_modes: int = 20000,
-                  breakpoints=None) -> PoissonReport:
+def poisson_check(f, g_values, support=None, breakpoints=None) -> PoissonReport:
     """Verify sum_n f(n) g(n) = q^(-1/2) sum_m fhat(m/q) ghat(m) for a
     continuous compactly supported f and a q-periodic g.
 
-    g is given by its q values (g_values[j] = g(j)); the dual sum is extended
-    until a decay-based tail estimate falls below POISSON_TOL, which fails
-    loudly when fhat does not decay.
+    g is given by its q values (g_values[j] = g(j)). The dual sum runs over
+    blocks of q modes (+-m together) and stops after two consecutive quiet
+    blocks, each adding less than POISSON_TOL / 64 in absolute value, once
+    m >= 4q + 4; it raises PoissonTailError past _POISSON_MAX_MODES modes,
+    which is how it fails loudly when fhat does not decay.
     """
     g_values = [complex(v) for v in g_values]
     q = len(g_values)
@@ -245,7 +232,7 @@ def poisson_check(f, g_values, support=None, max_modes: int = 20000,
         for m in range(q)
     ]
     if all(abs(v) == 0.0 for v in g_values):
-        return PoissonReport(lhs=0j, rhs=0j, m_cut=0, tail_estimate=0.0)
+        return PoissonReport(lhs=0j, rhs=0j, m_cut=0)
 
     sqrt_q = math.sqrt(q)
 
@@ -255,13 +242,12 @@ def poisson_check(f, g_values, support=None, max_modes: int = 20000,
     rhs = ft(0.0) * ghat[0] / sqrt_q
     m = 0
     block_abs = 0.0
-    prev_block_abs = math.inf
     quiet_blocks = 0
     while True:
         m += 1
-        if m > max_modes:
+        if m > _POISSON_MAX_MODES:
             raise PoissonTailError(
-                f"dual sum not converged after {max_modes} modes "
+                f"dual sum not converged after {_POISSON_MAX_MODES} modes "
                 f"(last block {block_abs:.3e}); f may not be smooth enough"
             )
         term = ft(m / q) * ghat[m % q] / sqrt_q
@@ -275,10 +261,8 @@ def poisson_check(f, g_values, support=None, max_modes: int = 20000,
                     break
             else:
                 quiet_blocks = 0
-            prev_block_abs = block_abs
             block_abs = 0.0
-    tail_estimate = prev_block_abs * (m / q + 1.0)
-    return PoissonReport(lhs=lhs, rhs=rhs, m_cut=m, tail_estimate=tail_estimate)
+    return PoissonReport(lhs=lhs, rhs=rhs, m_cut=m)
 
 
 def triangle(u: float) -> float:

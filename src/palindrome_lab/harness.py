@@ -202,14 +202,6 @@ def weyl_vdc_reports(d_dyadic: int, q_max: int, seed: int) -> list[tuple[str, We
     return [(name, weyl_vdc_check(z, d_dyadic, q_max)) for name, z in families]
 
 
-def weyl_vdc_campaign(d_dyadic: int, q_max: int, seed: int = DEFAULT_SEED) -> BoundFit:
-    """Ratios lhs/rhs over the canonical sequence families of
-    weyl_vdc_reports."""
-    reports = weyl_vdc_reports(d_dyadic, q_max, seed)
-    return _make_fit("weyl-vdc lhs/rhs", [(name, d_dyadic, q_max) for name, _ in reports],
-                     [report.ratio for _, report in reports])
-
-
 # ---------------------------------------------------------------------------
 # census convergence tables
 # ---------------------------------------------------------------------------
@@ -301,7 +293,7 @@ def fit_critical_point_bound(primes: Sequence[int], alpha_max: int,
                 value = abs(expsum.k2_full(params))
                 crit = expsum.count_critical_points(params)
                 if crit == 0:
-                    if value > 1e-9 * math.sqrt(c):
+                    if value > expsum.STATIONARY_PHASE_TOL * math.sqrt(c):
                         notes.append(
                             f"degenerate critical count at c={c}, "
                             f"(a1,a2,a3,q)=({a1},{a2},{a3},{q}): |K2|={value:.6g}")

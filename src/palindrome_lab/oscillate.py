@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,10 +38,8 @@ _MAX_PANELS = 8192
 
 _OSC_TOL = 1e-8  # absolute tolerance of oscillatory_integral
 
-# Sample counts and constant with which the bound checks verify hypotheses.
+# Sample count with which the bound checks verify hypotheses.
 _BOUND_SAMPLES = 4001
-_DECAY_SAMPLES = 2001
-_DECAY_HYP_CONSTANT = 10.0
 
 
 class QuadratureError(ArithmeticError):
@@ -372,61 +370,6 @@ def check_second_derivative_bound(spec: PhaseSpec, r: float) -> BoundCheckReport
     k_pieces = spec.g_pieces
     return _check_bound(spec, "second-derivative 8KM/sqrt(r)", k_pieces, spec.d2f, r,
                         8.0 * k_pieces * spec.amp_bound / math.sqrt(r))
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    order: int
-    phis: tuple[float, ...]
-    observed: tuple[float, ...]      # |I| per family member
-    quantities: tuple[float, ...]    # (b-a)^(1-N) * Phi^(-N)
-    ratios: tuple[float, ...]
-    fitted_constant: float
-
-
-def check_nonstationary_decay(specs: Sequence[PhaseSpec], order: int) -> DecayReport:
-    """Repeated integration-by-parts decay: |int e^{iF} W| against
-    (b-a)^(1-N) Phi^(-N) across a family with growing Phi = inf |F'|.
-
-    Scale hypotheses (W and F derivatives bounded on the interval scale,
-    relative to Phi) are verified by sampling, with constant 10.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    phis, observed, quantities, ratios = [], [], [], []
-    for spec in specs:
-        length = spec.b - spec.a
-        df_vals = _sample(spec.df, spec.a, spec.b, _DECAY_SAMPLES)
-        phi = float(np.min(np.abs(df_vals)))
-        if phi <= 0.0:
-            raise RejectedSpecError("F' vanishes; Phi must be positive")
-        if float(np.max(np.abs(df_vals))) > _DECAY_HYP_CONSTANT * phi:
-            raise RejectedSpecError("F' is not comparable to Phi on the interval")
-        if spec.d2f is not None:
-            d2_vals = _sample(spec.d2f, spec.a, spec.b, _DECAY_SAMPLES)
-            if float(np.max(np.abs(d2_vals))) * length > _DECAY_HYP_CONSTANT * phi:
-                raise RejectedSpecError("F'' violates the scale hypothesis")
-        g_vals = _sample(spec.g, spec.a, spec.b, _DECAY_SAMPLES)
-        if float(np.max(np.abs(g_vals))) > _DECAY_HYP_CONSTANT:
-            raise RejectedSpecError("W violates the scale hypothesis at order 0")
-        step = length / (_DECAY_SAMPLES - 1)
-        w1 = np.diff(g_vals) / step
-        if float(np.max(np.abs(w1))) * length > _DECAY_HYP_CONSTANT * 1.5:
-            raise RejectedSpecError("W' violates the scale hypothesis")
-        result = oscillatory_integral(spec)
-        quantity = length ** (1 - order) * phi ** (-order)
-        phis.append(phi)
-        observed.append(abs(result.value))
-        quantities.append(quantity)
-        ratios.append(abs(result.value) / quantity)
-    return DecayReport(
-        order=order,
-        phis=tuple(phis),
-        observed=tuple(observed),
-        quantities=tuple(quantities),
-        ratios=tuple(ratios),
-        fitted_constant=max(ratios),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -107,12 +107,6 @@ def stream_up_to(b: int, x: int, restricted: bool = False) -> PalindromeStream:
     return PalindromeStream(b, _segments_up_to(b, x), restricted)
 
 
-def count_fixed_length(b: int, n_digits: int) -> int:
-    """#(N-digit base-b palindromes) = (b-1) * b**(ceil(N/2)-1)."""
-    _, half_lo, half_hi = _fixed_length_segment(b, n_digits)
-    return half_hi - half_lo
-
-
 def count_up_to(b: int, x: int) -> int:
     """#(palindromes <= x), exact; used for cost models and budgets."""
     if x < 1:

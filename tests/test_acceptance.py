@@ -4,11 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` or, equivalently, via the
 CLI as `palindrome-lab verify-all`.
 """
 
+import math
 from pathlib import Path
 
-import pytest
-
-from palindrome_lab import acceptance, census
+from palindrome_lab import acceptance, arith, census, expsum
 from palindrome_lab.cli import main
 
 
@@ -34,12 +33,41 @@ def test_criterion_2_density_convergence():
     _run(acceptance.criterion_density_convergence)
 
 
+def test_criterion_2_fails_on_shifted_density(monkeypatch):
+    # a predicted density 0.05 too high makes the error grow with x
+    real = census.density_constant
+    monkeypatch.setattr(census, "density_constant",
+                        lambda b: (real(b)[0] + 0.05, real(b)[1]))
+    assert not acceptance.criterion_density_convergence(quick=True).passed
+
+
 def test_criterion_3_unrestricted_density():
     _run(acceptance.criterion_unrestricted_density)
 
 
+def test_criterion_3_fails_on_kernel_blind_to_nine(monkeypatch):
+    # a square-free test that never sees the prime 3 counts multiples of 9
+    real = arith.is_squarefree
+
+    def blind_to_three(n):
+        while n % 3 == 0:
+            n //= 3
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_squarefree", blind_to_three)
+    assert not acceptance.criterion_unrestricted_density(quick=True).passed
+
+
 def test_criterion_4_stationary_phase_identity():
     _run(acceptance.criterion_stationary_phase_identity)
+
+
+def test_criterion_4_fails_on_shifted_stationary_phase(monkeypatch):
+    # an error of twice the tolerance 1e-9 * sqrt(c)
+    real = expsum.k2_stationary_phase
+    monkeypatch.setattr(expsum, "k2_stationary_phase",
+                        lambda params: real(params) + 2e-9 * math.sqrt(params.c))
+    assert not acceptance.criterion_stationary_phase_identity(quick=True).passed
 
 
 def test_criterion_5_oscillatory_constants():
@@ -54,6 +82,12 @@ def test_criterion_7_cubic_residue_bound():
     _run(acceptance.criterion_cubic_residue_bound)
 
 
+def test_criterion_7_fails_on_dropped_root(monkeypatch):
+    real = arith.kth_residue_solutions
+    monkeypatch.setattr(arith, "kth_residue_solutions", lambda a, k, q: real(a, k, q)[1:])
+    assert not acceptance.criterion_cubic_residue_bound(quick=True).passed
+
+
 def test_criterion_8_prop1_shape():
     _run(acceptance.criterion_prop1_shape)
 
@@ -66,6 +100,14 @@ def test_criterion_8_fails_on_zero_count(monkeypatch):
 
 def test_criterion_9_averaged_k2_stability():
     _run(acceptance.criterion_averaged_k2_stability)
+
+
+def test_criterion_9_fails_on_inflated_q_average(monkeypatch):
+    # the q-average at the last modulus of the quick grid, c = 2^10, doubled
+    real = expsum.k2_q_average
+    monkeypatch.setattr(expsum, "k2_q_average",
+                        lambda m, a, q_max, c: real(m, a, q_max, c) * (2 if c == 2**10 else 1))
+    assert not acceptance.criterion_averaged_k2_stability(quick=True).passed
 
 
 def test_criterion_10_determinism():

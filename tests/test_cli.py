@@ -97,6 +97,15 @@ def test_k2_identity(tmp_path):
     assert "full_re" in header and "stationary_re" in header and "difference" in header
 
 
+def test_k2_identity_check_refused_below_c2(tmp_path, capsys):
+    # at c = 1 there is no stationary-phase form, so no second route to check
+    code, text = run_cli(["k2", "--a1", "3", "--a2", "5", "--c", "1", "--check-identity"],
+                         tmp_path)
+    assert code == 2
+    assert text == ""
+    assert "--check-identity requires c >= 2" in capsys.readouterr().err
+
+
 def test_poisson_demo(tmp_path):
     code, text = run_cli(["poisson", "--demo", "triangle", "--q", "1"], tmp_path)
     assert code == 0

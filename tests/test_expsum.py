@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from palindrome_lab import arith
+from palindrome_lab import expsum
 from palindrome_lab.expsum import (
     ExpSumParams,
     PoissonTailError,
     count_critical_points,
     k2_full,
     k2_q_average,
-    k2_simple,
     k2_stationary_phase,
     poisson_check,
     stationary_split,
@@ -40,18 +39,19 @@ def test_k2_frozen_values():
     assert k2_full(ExpSumParams(0, 0, 0, 0, 4)) == pytest.approx(1 + 0j)
     got = k2_full(ExpSumParams(1, 1, 0, 0, 7))
     assert got == pytest.approx(0.944911182523068 + 0.5j, abs=1e-12)
-    got = k2_simple(1, 2, 9)
+    got = k2_full(ExpSumParams(1, 2, 0, 0, 9))
     assert got == pytest.approx(-0.5 + 0.8660254037844387j, abs=1e-12)
-    got = k2_simple(5, 3, 13)
+    got = k2_full(ExpSumParams(5, 3, 0, 0, 13))
     assert got == pytest.approx(-0.7773500981126158 - 1.2907459653893643j, abs=1e-12)
     assert abs(k2_full(ExpSumParams(1, 1, -1, 1, 64))) < 1e-12
 
 
 def test_k2_zero_coefficients_give_totient():
     for c in (4, 45, 64, 100):
-        expected = arith.euler_phi(c) / math.sqrt(c)
-        assert k2_simple(0, 0, c) == pytest.approx(expected, abs=1e-10)
-    assert k2_simple(3, 7, 1) == 1
+        totient = sum(1 for x in range(c) if gcd(x, c) == 1)
+        expected = totient / math.sqrt(c)
+        assert k2_full(ExpSumParams(0, 0, 0, 0, c)) == pytest.approx(expected, abs=1e-10)
+    assert k2_full(ExpSumParams(3, 7, 0, 0, 1)) == 1
 
 
 @given(st.integers(2, 150), st.integers(-30, 30), st.integers(-30, 30),
@@ -71,16 +71,14 @@ def test_k2_conjugation_symmetry(c, a1, a2, a3, q):
 
 
 def test_stationary_split_examples():
-    s = stationary_split(8)
-    assert (s.c1, s.c2) == (2, 4)
-    assert stationary_split(36).c1 == stationary_split(36).c2 == 6
-    s = stationary_split(2**10)
-    assert (s.c1, s.c2) == (32, 32)
+    assert stationary_split(8) == (2, 4)
+    assert stationary_split(36) == (6, 6)
+    assert stationary_split(2**10) == (32, 32)
     for c in (12, 90, 7**3):
-        s = stationary_split(c)
-        assert s.c1 * s.c2 == c
-        assert s.c2 % s.c1 == 0
-        assert (s.c2 * s.c2) % c == 0
+        c1, c2 = stationary_split(c)
+        assert c1 * c2 == c
+        assert c2 % c1 == 0
+        assert (c2 * c2) % c == 0
 
 
 def test_stationary_phase_identity_examples():
@@ -186,7 +184,7 @@ def test_poisson_zero_g():
     assert rep.lhs == 0 and rep.rhs == 0
 
 
-def test_poisson_tail_failure():
+def test_poisson_tail_failure(monkeypatch):
+    monkeypatch.setattr(expsum, "_POISSON_MAX_MODES", 4)
     with pytest.raises(PoissonTailError):
-        poisson_check(triangle, [1.0], support=(-1.0, 1.0),
-                      breakpoints=(0.0,), max_modes=4)
+        poisson_check(triangle, [1.0], support=(-1.0, 1.0), breakpoints=(0.0,))

@@ -6,7 +6,6 @@ import pytest
 
 from palindrome_lab import harness
 from palindrome_lab.harness import (
-    BoundFit,
     Budget,
     BudgetExceededError,
     fit_averaged_k2,
@@ -14,8 +13,8 @@ from palindrome_lab.harness import (
     fit_pointwise_k2,
     fit_prop1,
     fit_prop2_prop3,
-    weyl_vdc_campaign,
     weyl_vdc_check,
+    weyl_vdc_reports,
 )
 
 
@@ -58,13 +57,13 @@ def test_weyl_vdc_input_validation():
 
 
 def test_weyl_vdc_campaign_envelope():
-    fit = weyl_vdc_campaign(200, 14)
-    assert len(fit.observed) == 4
-    assert all(math.isfinite(r) for r in fit.observed)
-    assert fit.fitted_constant <= 4.0
+    ratios = [rep.ratio for _, rep in weyl_vdc_reports(200, 14, harness.DEFAULT_SEED)]
+    assert len(ratios) == 4
+    assert all(math.isfinite(r) for r in ratios)
+    assert max(ratios) <= 4.0
     # reproducible bit for bit
-    again = weyl_vdc_campaign(200, 14)
-    assert again.observed == fit.observed
+    again = [rep.ratio for _, rep in weyl_vdc_reports(200, 14, harness.DEFAULT_SEED)]
+    assert again == ratios
 
 
 def test_fit_prop1_small_grid():

@@ -1,14 +1,12 @@
-import math
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from palindrome_lab.digits import is_palindrome
 from palindrome_lab.streams import (
-    count_fixed_length,
     count_up_to,
     palindrome_from_half,
     stream_fixed_length,
@@ -33,6 +31,11 @@ def brute_fixed_length(b, n_digits, restricted=False):
     return out
 
 
+def closed_form_count(b, n_digits):
+    """#(N-digit base-b palindromes) = (b-1) * b**(ceil(N/2)-1)."""
+    return (b - 1) * b ** ((n_digits + 1) // 2 - 1)
+
+
 def test_fixed_length_examples():
     assert list(stream_fixed_length(10, 1)) == list(range(1, 10))
     assert len(list(stream_fixed_length(10, 3))) == 90
@@ -47,9 +50,9 @@ def test_up_to_examples():
 
 
 def test_count_fixed_length_examples():
-    assert count_fixed_length(10, 3) == 90
-    assert count_fixed_length(10, 1) == 9
-    assert count_fixed_length(2, 4) == 2
+    for b, n_digits, expected in ((10, 3, 90), (10, 1, 9), (2, 4, 2)):
+        assert closed_form_count(b, n_digits) == expected
+        assert sum(1 for _ in stream_fixed_length(b, n_digits)) == expected
 
 
 @pytest.mark.parametrize("b", range(2, 17))
@@ -58,7 +61,7 @@ def test_agrees_with_brute_force_all_lengths(b):
         expected = brute_fixed_length(b, n_digits)
         got = list(stream_fixed_length(b, n_digits))
         assert got == expected, f"b={b}, N={n_digits}"
-        assert len(got) == count_fixed_length(b, n_digits)
+        assert len(got) == closed_form_count(b, n_digits)
 
 
 @pytest.mark.parametrize("b", (2, 3, 10, 16))
@@ -73,7 +76,7 @@ def test_restricted_fraction_recorded():
     # the restricted share stays inside [0, 1]; it can hit 0 (e.g. two-digit
     # decimal palindromes are all multiples of 11)
     for b, n_digits in ((2, 5), (3, 4), (10, 3), (10, 5)):
-        total = count_fixed_length(b, n_digits)
+        total = closed_form_count(b, n_digits)
         kept = sum(1 for _ in stream_fixed_length(b, n_digits, restricted=True))
         assert 0 <= kept <= total
 
@@ -120,7 +123,7 @@ def test_overflow_guards():
     with pytest.raises(OverflowError):
         stream_up_to(2, 2**127)
     with pytest.raises(OverflowError):
-        count_fixed_length(2, 200)
+        stream_fixed_length(2, 200)
     # largest allowed scale still constructs
     stream_fixed_length(2, 127)
 
