@@ -65,11 +65,13 @@ def criterion_density_convergence(quick: bool = False, threads: int = 1) -> Crit
     rec_small = census.census_up_to(10, x_small, check_identity=False)
     rec_large = census.census_up_to(10, x_large, check_identity=False)
     near = abs(rec_large.ratio - DENSITY_10_TARGET) <= DENSITY_TOLERANCE
+    # the prediction itself must be near: the trend alone passes a wrong one
+    predicted = rec_large.abs_error <= DENSITY_TOLERANCE
     trend = rec_large.abs_error <= rec_small.abs_error
     detail = (f"ratio({x_large})={fmt_real(rec_large.ratio)} "
               f"err={fmt_real(rec_large.abs_error)} "
               f"err({x_small})={fmt_real(rec_small.abs_error)}")
-    return _result(2, "density-convergence", near and trend, detail)
+    return _result(2, "density-convergence", near and predicted and trend, detail)
 
 
 # --------------------------------------------------------------------- 3

@@ -1,13 +1,16 @@
 """Exact integer arithmetic: primality, factorization, Mobius, power residues, CRT.
 
 Everything here works on plain Python integers (exact, arbitrary precision);
-factorization is only supported below 2**127.
+factorization is only supported below 2**127. squarefree_mask applies the
+square-free test to a numpy int64 array at once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from math import gcd, isqrt
+
+import numpy as np
 
 FACTOR_LIMIT = 1 << 127
 
@@ -54,6 +57,19 @@ def _primes_at_least(limit: int) -> tuple[int, ...]:
     # break out early on their own stopping condition
     primes_up_to(limit)
     return _prime_cache
+
+
+_prime_array_cache = np.empty(0, dtype=np.int64)
+
+
+def _prime_array(limit: int) -> np.ndarray:
+    """primes_up_to(limit) as an int64 array, a view of a cached copy of the
+    prime table."""
+    global _prime_array_cache
+    primes = _primes_at_least(limit)
+    if len(_prime_array_cache) != len(primes):
+        _prime_array_cache = np.array(primes, dtype=np.int64)
+    return _prime_array_cache[: np.searchsorted(_prime_array_cache, limit, side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +257,30 @@ def _cofactor_exponents(m: int, count_primes: bool) -> list[int]:
     return list(factorize(m).values())
 
 
+# From this n on, _strip_small_primes finds the primes that divide n with
+# one numpy reduction over its whole prime range instead of dividing prime
+# by prime; the two cost about the same near 10**8 (≈9 µs per call on a
+# 2-core x86 host), and at 10**20 the reduction takes 0.8 ms against 9 ms.
+_RESIDUE_SIEVE_FROM = 10**8
+_LIMB_BITS = 40
+
+
+def _small_prime_divisors(n: int, limit: int) -> list[int]:
+    """The primes p <= limit (< 2**22) that divide n, in increasing order.
+
+    n is reduced modulo every prime at once by Horner's rule over 40-bit
+    limbs, most significant first; r * 2**40 + limb stays below 2**63.
+    """
+    primes = _prime_array(limit)
+    top = (n.bit_length() - 1) // _LIMB_BITS * _LIMB_BITS
+    r = (n >> top) % primes
+    for shift in range(top - _LIMB_BITS, -1, -_LIMB_BITS):
+        r <<= _LIMB_BITS
+        r += (n >> shift) & ((1 << _LIMB_BITS) - 1)
+        r %= primes
+    return primes[r == 0].tolist()
+
+
 def _strip_small_primes(n: int) -> tuple[int, int] | None:
     """Divide out the primes up to min(n^(1/3), 10**6) from n > 1.
 
@@ -248,7 +288,11 @@ def _strip_small_primes(n: int) -> tuple[int, int] | None:
     prime that divides n twice.
     """
     m, k = n, 0
-    for p in _primes_at_least(min(_icbrt(n) + 1, 10**6)):
+    if n < _RESIDUE_SIEVE_FROM:
+        candidates = _primes_at_least(min(_icbrt(n) + 1, 10**6))
+    else:
+        candidates = _small_prime_divisors(n, min(_icbrt(n), 10**6))
+    for p in candidates:
         if p * p * p > n:
             break
         if m % p == 0:
@@ -274,6 +318,61 @@ def is_squarefree(n: int) -> bool:
         return False
     m = stripped[0]
     return m == 1 or max(_cofactor_exponents(m, count_primes=False)) == 1
+
+
+# Trial-divided int64 values are split into blocks of about this many
+# (value, prime) pairs, which bounds the temporaries of squarefree_mask.
+_MASK_BLOCK = 1 << 16
+
+
+def _floor_cbrt(n: int) -> int:
+    # integer Newton iteration from above; it decreases to floor(n^(1/3)).
+    # Kept apart from _icbrt, which the census's Mobius route uses, so that
+    # a fault in one cube root cannot reach both routes.
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
+def squarefree_mask(values: np.ndarray) -> np.ndarray:
+    """is_squarefree over an array of values >= 1, as a boolean array.
+
+    An int64 array is tested as a whole, by the rule is_squarefree uses:
+    each prime p up to the cube root of the largest value is divided out
+    once, and a value that p divides again is not square-free; what is left
+    has at most two prime factors, so it is square-free unless it is a
+    perfect square. Any other dtype (values of 2**63 and above come as
+    Python ints in an object array) is tested value by value.
+    """
+    if values.dtype != np.int64:
+        return np.array([is_squarefree(n) for n in values.tolist()], dtype=bool)
+    if len(values) == 0:
+        return np.ones(0, dtype=bool)
+    if values.min() < 1:
+        raise ValueError("squarefree_mask requires values >= 1")
+    square_divisor = np.zeros(len(values), dtype=bool)
+    cofactor = values.copy()
+    primes = _prime_array(_floor_cbrt(int(values.max())))
+    step = max(1, _MASK_BLOCK // len(values))
+    for start in range(0, len(primes), step):
+        block = primes[start : start + step]
+        rows, cols = np.nonzero(values[:, None] % block == 0)
+        hit = block[cols]
+        np.floor_divide.at(cofactor, rows, hit)
+        square_divisor[rows[values[rows] // hit % hit == 0]] = True
+    left = np.flatnonzero(cofactor > 1)
+    c = cofactor[left]
+    # np.sqrt is correctly rounded, hence exact on squares below 2**63; the
+    # integer steps make r = isqrt(c) without relying on that. r is at most
+    # isqrt(2**63 - 1), so r * r fits in int64, but (r + 1)**2 may not
+    r = np.sqrt(c.astype(np.float64)).astype(np.int64)
+    r -= r * r > c
+    r += r + 1 <= c // (r + 1)
+    square_divisor[left[r * r == c]] = True
+    return ~square_divisor
 
 
 def mobius(n: int) -> int:

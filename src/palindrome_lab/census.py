@@ -6,13 +6,17 @@ restricted palindromes <= x equals
     sum over d <= sqrt(x), gcd(d, b^3-b) = 1 of mu(d) * #{n palindromic,
     restricted, <= x, d^2 | n}
 
-which this module evaluates by two routes in one pass over the stream (a
-boolean square-free test per element, and an explicit sum of mu over its
-square divisors) so that each run cross-checks the other. The routes are not
-independent: both trial-divide through arith's prime table up to the cube root
-(arith._icbrt) and settle the cofactor with arith._cofactor_exponents, so a
-fault there reaches both. ROADMAP item 4 replaces the second route with one
-that shares none of this.
+which this module evaluates by two routes in one pass over the palindromes
+(a square-free test per element, and an explicit sum of mu over its square
+divisors) so that each run cross-checks the other. The censuses take their
+palindromes as numpy batches (streams.batches_up_to): the first route tests
+a whole batch with arith.squarefree_mask, the second runs
+_square_divisor_mobius_sum on each element. Below 2**63 the two share only
+arith's prime table; the second route's own trial division, cube-root bound
+(arith._icbrt) and cofactor test (arith._cofactor_exponents) are not used by
+the mask. Values of 2**63 and above go through arith.is_squarefree, which
+shares all three. ROADMAP item 3 replaces the second route with a residue
+count that shares none of this.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import arith
 from .digits import is_palindrome
 from .parallel import map_in_order
-from .streams import count_up_to, stream_fixed_length, stream_up_to
+from .streams import batches_fixed_length, batches_up_to, count_up_to
 
 ZETA2_INV = 6 / math.pi**2
 
@@ -64,8 +70,8 @@ def density_constant(b: int) -> tuple[float, Fraction]:
 
 
 def q_star_direct(b: int, x: int) -> int:
-    """#(square-free restricted palindromes <= x), one square-free test per
-    streamed element."""
+    """#(square-free restricted palindromes <= x), by the batch square-free
+    test."""
     return census_up_to(b, x, check_identity=False).squarefree
 
 
@@ -98,33 +104,34 @@ def _square_divisor_mobius_sum(n: int) -> int:
 
 def q_star_mobius(b: int, x: int) -> int:
     """Same census as q_star_direct, evaluated through the Mobius identity:
-    each streamed palindrome contributes sum of mu(d) over its square
+    each palindrome contributes sum of mu(d) over its square
     divisors d^2 | n. Must agree with q_star_direct exactly."""
-    return sum(_square_divisor_mobius_sum(n) for n in stream_up_to(b, x, restricted=True))
+    return sum(_square_divisor_mobius_sum(n) for batch in batches_up_to(b, x, True)
+               for n in batch.tolist())
 
 
-def _census(stream, scope_kind: str, scope: int, predicted: float,
-            check_identity: bool) -> CensusRecord:
-    """Count a stream in one pass: its total, its square-free members and,
-    with check_identity, the Mobius sum that must equal the latter."""
+def _census(b: int, batches, restricted: bool, scope_kind: str, scope: int,
+            predicted: float, check_identity: bool) -> CensusRecord:
+    """Count palindrome batches in one pass: their total, their square-free
+    members and, with check_identity, the Mobius sum that must equal the
+    latter."""
     total = squarefree = via_mobius = 0
-    for n in stream:
-        total += 1
-        if arith.is_squarefree(n):
-            squarefree += 1
+    for batch in batches:
+        total += len(batch)
+        squarefree += int(np.count_nonzero(arith.squarefree_mask(batch)))
         if check_identity:
-            via_mobius += _square_divisor_mobius_sum(n)
+            via_mobius += sum(map(_square_divisor_mobius_sum, batch.tolist()))
     if check_identity and via_mobius != squarefree:
         raise ArithmeticError(
-            f"mobius census identity failed at b={stream.base}, x={scope}: "
+            f"mobius census identity failed at b={b}, x={scope}: "
             f"direct={squarefree} mobius={via_mobius}"
         )
     ratio = squarefree / total if total else 0.0
     return CensusRecord(
-        base=stream.base,
+        base=b,
         scope_kind=scope_kind,
         scope=scope,
-        restricted=stream.restricted,
+        restricted=restricted,
         total=total,
         squarefree=squarefree,
         ratio=ratio,
@@ -140,14 +147,14 @@ def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) 
     must agree exactly, else ArithmeticError. threads is accepted for
     compatibility and ignored: the census is serial.
     """
-    return _census(stream_up_to(b, x, restricted=True), "up_to", x,
+    return _census(b, batches_up_to(b, x, True), True, "up_to", x,
                    density_constant(b)[0], check_identity)
 
 
 def q_fixed_length(b: int, n_digits: int) -> CensusRecord:
     """Unrestricted fixed-length census against the 1/zeta(2) density."""
-    return _census(stream_fixed_length(b, n_digits), "fixed_length", n_digits,
-                   ZETA2_INV, False)
+    return _census(b, batches_fixed_length(b, n_digits, False), False, "fixed_length",
+                   n_digits, ZETA2_INV, False)
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +166,11 @@ def _s_b_stream(b: int, x: int, d_lo: int, d_hi: int) -> int:
     if not squares:
         return 0
     count = 0
-    for n in stream_up_to(b, x, restricted=True):
+    for batch in batches_up_to(b, x, True):
+        hit = np.zeros(len(batch), dtype=bool)
         for dd in squares:
-            if dd > n:
-                break
-            if n % dd == 0:
-                count += 1
-                break
+            hit |= batch % dd == 0
+        count += int(np.count_nonzero(hit))
     return count
 
 
@@ -259,18 +264,28 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
     for d in eligible:
         if d * d > _DISCREPANCY_CELL_LIMIT:
             raise MemoryError(f"residue histogram of size {d*d} exceeds the budget")
-    pals = list(stream_up_to(b, x, restricted=True))
+    pals = np.concatenate(list(batches_up_to(b, x, True)))  # holds 1, so never empty
 
     def worst_for(d: int) -> Fraction:
+        # counts only grow by one, so the largest count is tracked as it
+        # grows and the smallest through the number of cells holding it
         dd = d * d
         counts = [0] * dd
-        seen = 0
+        top = low = 0
+        at_low = dd
         best_scaled = 0  # max over breakpoints of dd*|count_a - seen/dd|
-        for n in pals:
-            counts[n % dd] += 1
-            seen += 1
-            hi = max(counts) * dd - seen
-            lo = seen - min(counts) * dd
+        for seen, residue in enumerate((pals % dd).tolist(), 1):
+            c = counts[residue] + 1
+            counts[residue] = c
+            if c > top:
+                top = c
+            if c == low + 1:
+                at_low -= 1
+                if at_low == 0:
+                    low = c
+                    at_low = counts.count(low)
+            hi = top * dd - seen
+            lo = seen - low * dd
             step_best = hi if hi > lo else lo
             if step_best > best_scaled:
                 best_scaled = step_best

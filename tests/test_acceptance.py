@@ -5,6 +5,7 @@ CLI as `palindrome-lab verify-all`.
 """
 
 import math
+from fractions import Fraction
 from pathlib import Path
 
 from palindrome_lab import acceptance, arith, census, expsum
@@ -29,6 +30,16 @@ def test_criterion_1_fails_on_broken_mobius_route(monkeypatch):
     assert "mobius census identity failed" in result.detail
 
 
+def test_criterion_1_fails_on_cofactor_fault(monkeypatch):
+    # a cofactor test blind to squares (121 = 11^2 is a restricted base-3
+    # palindrome) reaches only the Mobius route; the batch mask that counts
+    # the direct route does not call it
+    monkeypatch.setattr(arith, "_cofactor_exponents", lambda m, count_primes: [1])
+    result = acceptance.criterion_mobius_identity(quick=True)
+    assert result.passed is False
+    assert "b=3,x=1000:mobius census identity failed" in result.detail
+
+
 def test_criterion_2_density_convergence():
     _run(acceptance.criterion_density_convergence)
 
@@ -41,20 +52,34 @@ def test_criterion_2_fails_on_shifted_density(monkeypatch):
     assert not acceptance.criterion_density_convergence(quick=True).passed
 
 
+def test_criterion_2_fails_on_density_without_p2(monkeypatch):
+    # omitting the Euler factor 4/3 of p = 2 predicts 0.718 against 0.958;
+    # the error still shrinks with x, so only the prediction gate sees it
+    real = census.density_constant
+
+    def without_p2(b):
+        value, r = real(b)
+        return value * 3 / 4, r * Fraction(3, 4)
+
+    monkeypatch.setattr(census, "density_constant", without_p2)
+    assert acceptance.criterion_density_convergence(quick=True).passed is False
+
+
 def test_criterion_3_unrestricted_density():
     _run(acceptance.criterion_unrestricted_density)
 
 
 def test_criterion_3_fails_on_kernel_blind_to_nine(monkeypatch):
     # a square-free test that never sees the prime 3 counts multiples of 9
-    real = arith.is_squarefree
+    real = arith.squarefree_mask
 
-    def blind_to_three(n):
-        while n % 3 == 0:
-            n //= 3
-        return real(n)
+    def blind_to_three(values):
+        values = values.copy()
+        while (threes := values % 3 == 0).any():
+            values[threes] //= 3
+        return real(values)
 
-    monkeypatch.setattr(arith, "is_squarefree", blind_to_three)
+    monkeypatch.setattr(arith, "squarefree_mask", blind_to_three)
     assert not acceptance.criterion_unrestricted_density(quick=True).passed
 
 

@@ -16,6 +16,7 @@ from palindrome_lab.arith import (
     is_squarefree,
     kth_residue_solutions,
     mobius,
+    squarefree_mask,
 )
 
 
@@ -134,6 +135,58 @@ def test_squarefree_mobius_wide_products(primes):
     squarefree = max(exponents) == 1
     assert is_squarefree(n) == squarefree
     assert mobius(n) == ((-1) ** len(primes) if squarefree else 0)
+
+
+INT64_MAX = 2**63 - 1
+# the largest primes below sqrt(2**63): their squares are the int64 values
+# where the mask's float square root and the square r * r come closest to
+# overflowing
+PRIMES_BELOW_INT64_ROOT = (3037000427, 3037000429, 3037000453, 3037000493)
+
+INT64_VALUES = st.one_of(
+    st.integers(1, 10**6),
+    st.integers(1, INT64_MAX),
+    st.integers(INT64_MAX - 10**6, INT64_MAX),
+    st.sampled_from(PRIMES_BELOW_INT64_ROOT).map(lambda p: p * p),
+    # perfect cubes and their neighbours, up to the largest cube in int64
+    st.builds(lambda k, e: k**3 + e, st.integers(2, 2097151), st.integers(-1, 1)),
+    # a prime square just above the cube root times a small factor
+    st.builds(lambda p, k: p * p * k, st.sampled_from(WIDE_PRIMES), st.integers(1, 9)),
+    # three primes above 10**6: the cube root of the batch passes 10**6
+    st.lists(st.sampled_from(WIDE_PRIMES[:4]), min_size=3, max_size=3).map(math.prod)
+    .filter(lambda n: n <= INT64_MAX),
+)
+
+
+@given(st.lists(INT64_VALUES, min_size=1, max_size=30))
+def test_squarefree_mask_matches_scalar(values):
+    mask = squarefree_mask(np.array(values, dtype=np.int64))
+    assert mask.dtype == bool
+    assert mask.tolist() == [is_squarefree(n) for n in values]
+
+
+def test_squarefree_mask_exhaustive_and_wide():
+    values = np.arange(1, 10**5 + 1, dtype=np.int64)
+    assert squarefree_mask(values).tolist() == [is_squarefree(int(n)) for n in values]
+    p, q = 2000003, 3000017
+    wide = np.array([p * p * q, 2**64 + 1, 3 * 2**70], dtype=object)
+    assert squarefree_mask(wide).tolist() == [False, True, False]
+    assert squarefree_mask(np.zeros(0, dtype=np.int64)).tolist() == []
+    with pytest.raises(ValueError):
+        squarefree_mask(np.array([5, 0], dtype=np.int64))
+
+
+def test_strip_small_primes_paths_agree():
+    # the prime-by-prime walk below _RESIDUE_SIEVE_FROM and the numpy
+    # reduction above it, run on the same values
+    rng = random.Random(7)
+    values = [rng.randrange(10**6, 2**127) for _ in range(40)]
+    values += [p * p * rng.randrange(1, 10**12) for p in (2, 3, 7919, 999983)]
+    values += [math.prod(arith.primes_up_to(97)), 2**126, 3**80]
+    for n in values:
+        limit = min(arith._icbrt(n), 10**6)
+        walked = [p for p in arith.primes_up_to(limit) if n % p == 0]
+        assert arith._small_prime_divisors(n, limit) == walked, n
 
 
 def test_kth_residue_examples():

@@ -15,6 +15,7 @@ from palindrome_lab.census import (
     q_star_mobius,
     s_b,
 )
+from palindrome_lab.streams import batches_up_to
 
 
 def test_density_constant_values():
@@ -136,6 +137,29 @@ def test_discrepancy_examples():
     assert equidistribution_discrepancy(10, 10**4, 13) == pytest.approx(28688 / 8281)
 
 
+def _discrepancy_by_rescan(b, x, d_max):
+    # the definition, rescanning every residue cell after each palindrome
+    pals = list(stream_up_to(b, x, restricted=True))
+    total = Fraction(0)
+    for d in range(2, d_max + 1):
+        if math.gcd(d, b**3 - b) != 1 or not is_squarefree(d):
+            continue
+        dd = d * d
+        counts = [0] * dd
+        best = 0
+        for seen, n in enumerate(pals, 1):
+            counts[n % dd] += 1
+            best = max(best, max(counts) * dd - seen, seen - min(counts) * dd)
+        total += Fraction(best, dd)
+    return float(total)
+
+
+@pytest.mark.parametrize("b,x,d_max", [(10, 10**4, 13), (10, 10**6, 31), (2, 10**6, 30),
+                                       (3, 10**5, 25), (7, 10**5, 20)])
+def test_discrepancy_matches_rescan(b, x, d_max):
+    assert equidistribution_discrepancy(b, x, d_max) == _discrepancy_by_rescan(b, x, d_max)
+
+
 def test_discrepancy_monotone_in_dmax():
     previous = 0.0
     for d_max in (1, 3, 7, 13, 17):
@@ -160,11 +184,11 @@ def test_census_identity_guard(monkeypatch):
 def test_census_up_to_streams_once(monkeypatch):
     opened = []
 
-    def counting_stream_up_to(*args, **kwargs):
+    def counting_batches_up_to(*args, **kwargs):
         opened.append(args)
-        return stream_up_to(*args, **kwargs)
+        return batches_up_to(*args, **kwargs)
 
-    monkeypatch.setattr(census, "stream_up_to", counting_stream_up_to)
+    monkeypatch.setattr(census, "batches_up_to", counting_batches_up_to)
     rec = census_up_to(10, 10**4, check_identity=True)
     assert (rec.total, rec.squarefree) == (25, 24)
     assert len(opened) == 1

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from palindrome_lab.digits import is_palindrome
+from palindrome_lab.digits import is_palindrome, to_digits
 from palindrome_lab.streams import (
+    BATCH_HALVES,
+    PalindromeStream,
+    _mirror_batches,
+    batches_fixed_length,
+    batches_up_to,
     count_up_to,
     palindrome_from_half,
     stream_fixed_length,
@@ -148,3 +153,57 @@ def test_palindrome_from_half_paths():
     assert palindrome_from_half(12, 10, 4) == 1221
     assert palindrome_from_half(10, 10, 3) == 101
     assert palindrome_from_half(1, 2, 1) == 1
+
+
+def _flatten(batches):
+    return [v for batch in batches for v in batch.tolist()]
+
+
+def _crossing_half(b):
+    # the digit length N of 2**63 in base b and the first half-prefix whose
+    # N-digit palindrome is >= 2**63
+    n_digits = len(to_digits(2**63, b))
+    m = (n_digits + 1) // 2
+    h = 2**63 // b ** (n_digits - m)
+    if palindrome_from_half(h, b, n_digits) < 2**63:
+        h += 1
+    return n_digits, h
+
+
+@given(st.integers(2, 64), st.integers(1, 10**6), st.booleans())
+def test_batches_up_to_match_stream(b, x, restricted):
+    batches = list(batches_up_to(b, x, restricted))
+    assert all(batch.dtype == np.int64 and len(batch) for batch in batches)
+    assert _flatten(batches) == list(stream_up_to(b, x, restricted))
+
+
+@given(st.integers(2, 64), st.booleans(), st.integers(-300, 300), st.integers(1, 400))
+def test_batches_across_int64_limit(b, restricted, offset, count):
+    # a run of half-prefixes of the segment whose values pass 2**63
+    n_digits, h_cross = _crossing_half(b)
+    m = (n_digits + 1) // 2
+    lo = min(max(h_cross + offset, b ** (m - 1)), b**m - 1)
+    hi = min(lo + count, b**m)
+    segment = [(n_digits, lo, hi)]
+    batches = list(_mirror_batches(b, segment, restricted))
+    expected = [palindrome_from_half(h, b, n_digits) for h in range(lo, hi)]
+    if restricted:
+        expected = [n for n in expected if gcd(n, b**3 - b) == 1]
+    assert _flatten(batches) == expected == list(PalindromeStream(b, segment, restricted))
+    for batch in batches:
+        assert (batch.dtype == np.int64) == (max(batch.tolist()) < 2**63)
+
+
+def test_batches_split_long_segments():
+    # binary palindromes of 2m digits have 2**(m-1) half-prefixes: two
+    # full batches when 2**(m-2) = BATCH_HALVES
+    n_digits = 2 * (BATCH_HALVES.bit_length() + 1)
+    batches = list(batches_fixed_length(2, n_digits, False))
+    assert [len(batch) for batch in batches] == [BATCH_HALVES, BATCH_HALVES]
+    assert _flatten(batches) == list(stream_fixed_length(2, n_digits))
+    restricted = list(batches_fixed_length(2, n_digits, True))
+    assert _flatten(restricted) == list(stream_fixed_length(2, n_digits, restricted=True))
+    with pytest.raises(ValueError):
+        batches_up_to(10, 0, False)
+    with pytest.raises(OverflowError):
+        batches_fixed_length(2, 128, False)
