@@ -216,8 +216,10 @@ def factorize(n: int) -> dict[int, int]:
     if not 2 <= n < FACTOR_LIMIT:
         raise ValueError(f"factorize requires 2 <= n < 2**127, got {n}")
     fac: dict[int, int] = {}
+    # the shared cache may reach far past 10**4; Pollard rho takes the
+    # cofactor from there
     for p in _primes_at_least(10**4):
-        if p * p > n:
+        if p > 10**4 or p * p > n:
             break
         while n % p == 0:
             fac[p] = fac.get(p, 0) + 1

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import arith
-from .oscillate import PSI, fourier_transform
+from .oscillate import PSI, SmoothBump, fourier_transform
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,8 +211,16 @@ def poisson_check(f, g_values, support=None, breakpoints=None) -> PoissonReport:
     blocks, each adding less than POISSON_TOL / 64 in absolute value, once
     m >= 4q + 4; it raises PoissonTailError past _POISSON_MAX_MODES modes,
     which is how it fails loudly when fhat does not decay.
+
+    f is real, so fhat(-k) = conj(fhat(k)) exactly (see fourier_transform):
+    each |k| is transformed once and the negative mode takes the conjugate.
+    A SmoothBump f is replaced by its with_node_cache copy, so the
+    quadrature nodes shared by all frequencies are evaluated once. Both
+    caches belong to this call and are dropped when it returns.
     """
     g_values = [complex(v) for v in g_values]
+    if isinstance(f, SmoothBump):
+        f = f.with_node_cache()
     q = len(g_values)
     if q < 1:
         raise ValueError("g must have at least one value per period")
@@ -236,9 +244,14 @@ def poisson_check(f, g_values, support=None, breakpoints=None) -> PoissonReport:
 
     sqrt_q = math.sqrt(q)
 
+    transforms: dict[float, complex] = {}
+
     def ft(k: float) -> complex:
-        return fourier_transform(f, k, support=support, tol=POISSON_TOL * 1e-3,
-                                 breakpoints=breakpoints)
+        value = transforms.get(abs(k))
+        if value is None:
+            value = transforms[abs(k)] = fourier_transform(
+                f, abs(k), support=support, tol=POISSON_TOL * 1e-3, breakpoints=breakpoints)
+        return value.conjugate() if k < 0 else value
     rhs = ft(0.0) * ghat[0] / sqrt_q
     m = 0
     block_abs = 0.0

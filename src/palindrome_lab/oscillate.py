@@ -162,6 +162,27 @@ class SmoothBump:
     def __call__(self, x: float) -> float:
         return self.derivative(x, 0)
 
+    def with_node_cache(self) -> SmoothBump:
+        """A copy whose derivative(x, order) computes each value once and then
+        answers from a dict keyed by (x, order). QUADPACK's QAWO puts its
+        nodes at the same points of a piece for every frequency, so a sweep
+        over frequencies evaluates the ramp once per node. The values are the
+        same floats; the dict lives as long as the copy."""
+        return _NodeCachedBump(self.support, self.plateau)
+
+
+class _NodeCachedBump(SmoothBump):
+    def __init__(self, support: tuple[float, float], plateau: tuple[float, float]):
+        super().__init__(support, plateau)
+        self._node_values: dict[tuple[float, int], float] = {}
+
+    def derivative(self, x: float, order: int = 0) -> float:
+        key = (x, order)
+        value = self._node_values.get(key)
+        if value is None:
+            value = self._node_values[key] = super().derivative(x, order)
+        return value
+
 
 PSI = SmoothBump((0.5, 2.5), (1.0, 2.0))
 PHI = SmoothBump((-2.0, 2.0), (-1.0, 1.0))
@@ -208,6 +229,13 @@ def fourier_transform(f, k: float, support=None, tol: float = 1e-10,
     integrated by parts four times (with exact bump derivatives), pulling out
     the real factor (2 pi k)^(-4), which keeps the oscillatory quadrature at
     full relative accuracy.
+
+    Both signs of k run the same quadratures at omega = 2 pi |k| and differ
+    only in the sign of the sine part, so fourier_transform(f, -k) is exactly
+    fourier_transform(f, k).conjugate() for a real f; expsum.poisson_check
+    relies on this to compute one transform per |k|. A bump made by
+    SmoothBump.with_node_cache evaluates each quadrature node once across
+    such calls.
     """
     is_bump = isinstance(f, SmoothBump)
     if support is None:

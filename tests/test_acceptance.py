@@ -103,6 +103,15 @@ def test_criterion_6_poisson_identity():
     _run(acceptance.criterion_poisson_identity)
 
 
+def test_criterion_6_fails_on_perturbed_transform(monkeypatch):
+    # the psi/q=3 sides have modulus 1, so a relative error of 1e-6 in every
+    # transform is far above POISSON_TOL = 1e-8
+    real = expsum.fourier_transform
+    monkeypatch.setattr(expsum, "fourier_transform",
+                        lambda *args, **kwargs: real(*args, **kwargs) * (1 + 1e-6))
+    assert acceptance.criterion_poisson_identity(quick=True).passed is False
+
+
 def test_criterion_7_cubic_residue_bound():
     _run(acceptance.criterion_cubic_residue_bound)
 

@@ -62,6 +62,27 @@ def test_factorize_large_semiprime():
     assert factorize(p * p) == {p: 2}
 
 
+def test_factorize_trial_division_stops_at_1e4(monkeypatch):
+    # the shared prime cache may reach 10**6; trial division must still stop
+    # at 10**4 and hand the whole cofactor to Pollard rho
+    arith.primes_up_to(10**6)
+    p1, p2, p3 = 10**6 + 3, 10**9 + 7, 10**11 + 3
+    cofactors = []
+    real = arith._factor_into
+
+    def recorded(n, out):
+        cofactors.append(n)
+        real(n, out)
+
+    monkeypatch.setattr(arith, "_factor_into", recorded)
+    assert factorize(p1 * p2 * p3) == {p1: 1, p2: 1, p3: 1}
+    assert factorize(2**3 * 9973 * p1**2) == {2: 3, 9973: 1, p1: 2}
+    # 999983 is in the cache but above 10**4, so trial division leaves it
+    cofactors.clear()
+    assert factorize(999983 * p2) == {999983: 1, p2: 1}
+    assert cofactors[0] == 999983 * p2
+
+
 def test_factorize_range_errors():
     with pytest.raises(ValueError):
         factorize(1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from palindrome_lab import expsum
+from palindrome_lab import expsum, oscillate
 from palindrome_lab.expsum import (
     ExpSumParams,
     PoissonTailError,
@@ -18,7 +18,7 @@ from palindrome_lab.expsum import (
     poisson_check,
     stationary_split,
 )
-from palindrome_lab.oscillate import PSI
+from palindrome_lab.oscillate import PSI, fourier_transform
 
 
 def naive_k2(a1, a2, a3, q, c):
@@ -177,6 +177,55 @@ def test_poisson_psi_bump():
     rep = poisson_check(PSI, g3)
     assert rep.lhs == pytest.approx(cmath.exp(2j * math.pi / 3) + cmath.exp(4j * math.pi / 3))
     assert rep.difference < 1e-8
+
+
+def test_poisson_rhs_equals_plain_transform_loop():
+    # one transform per |k| and the node cache change no bit of the dual sum
+    q = 2
+    g = [complex(math.cos(2 * math.pi * y / q), math.sin(2 * math.pi * y / q))
+         for y in range(q)]
+    rep = poisson_check(PSI, g)
+    ghat = [sum(g[y % q] * cmath.exp(2 * math.pi * 1j * m * y / q) for y in range(1, q + 1))
+            / math.sqrt(q) for m in range(q)]
+    sqrt_q = math.sqrt(q)
+
+    def ft(k):
+        return fourier_transform(PSI, k, tol=expsum.POISSON_TOL * 1e-3)
+
+    rhs = ft(0.0) * ghat[0] / sqrt_q
+    for m in range(1, rep.m_cut + 1):
+        term = ft(m / q) * ghat[m % q] / sqrt_q
+        term += ft(-m / q) * ghat[(-m) % q] / sqrt_q
+        rhs += term
+    assert rep.rhs == rhs
+
+
+def test_poisson_check_work_counts(monkeypatch):
+    # one transform per |k| and one ramp evaluation per quadrature node and
+    # order; a second call starts cold, so it does the same work
+    frequencies, ramp_calls = [], [0]
+    real_ft, real_ramp = expsum.fourier_transform, oscillate.ramp_derivative
+
+    def counted_ft(f, k, **kwargs):
+        frequencies.append(k)
+        return real_ft(f, k, **kwargs)
+
+    def counted_ramp(t, order=0):
+        ramp_calls[0] += 1
+        return real_ramp(t, order)
+
+    monkeypatch.setattr(expsum, "fourier_transform", counted_ft)
+    monkeypatch.setattr(oscillate, "ramp_derivative", counted_ramp)
+    g3 = [cmath.exp(2j * math.pi * y / 3) for y in range(3)]
+    counts = []
+    for _ in range(2):
+        frequencies.clear()
+        ramp_calls[0] = 0
+        rep = poisson_check(PSI, g3)
+        assert sorted(frequencies) == [m / 3 for m in range(rep.m_cut + 1)]
+        assert ramp_calls[0] < 10_000
+        counts.append((len(frequencies), ramp_calls[0]))
+    assert counts[0] == counts[1]
 
 
 def test_poisson_zero_g():

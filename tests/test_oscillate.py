@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from palindrome_lab.oscillate import (
+    KMAX_DERIVATIVE,
     PHI,
     PSI,
     PhaseSpec,
@@ -75,6 +76,20 @@ def test_bump_smooth_at_ramp_endpoints():
             assert abs(inside - outside) < 1e-5, (x0, order)
 
 
+def test_node_cache_gives_the_same_floats():
+    cached = PSI.with_node_cache()
+    assert isinstance(cached, SmoothBump)
+    assert (cached.support, cached.plateau) == (PSI.support, PSI.plateau)
+    xs = [0.5, 1.0, 2.0, 2.5, *(float(x) for x in np.linspace(0.4, 2.6, 221))]
+    for _ in range(2):  # the second sweep answers from the cache
+        for x in xs:
+            assert cached(x) == PSI(x)
+            for order in range(KMAX_DERIVATIVE + 1):
+                assert cached.derivative(x, order) == PSI.derivative(x, order), (x, order)
+    with pytest.raises(ValueError):
+        cached.derivative(1.0, KMAX_DERIVATIVE + 1)
+
+
 def test_bump_order_validation():
     with pytest.raises(ValueError):
         PSI.derivative(1.0, 11)
@@ -116,10 +131,12 @@ def test_transform_zero_frequency_is_mass():
 
 
 def test_transform_conjugate_symmetry():
-    for k in (0.7, 3.3, 12.1):
+    # exact: both signs run the same quadratures at 2 pi |k|, below and in
+    # the integration-by-parts branch (|k| >= 4); poisson_check relies on it
+    for k in (0.7, 3.3, 4.0, 17 / 3, 12.1, 40.0):
         plus = fourier_transform(PSI, k)
         minus = fourier_transform(PSI, -k)
-        assert minus == pytest.approx(plus.conjugate(), abs=1e-10)
+        assert minus == plus.conjugate(), k
 
 
 def test_phi_transform_cubic_decay():
