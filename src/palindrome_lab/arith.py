@@ -14,11 +14,9 @@ import numpy as np
 
 FACTOR_LIMIT = 1 << 127
 
-# Prime powers above this are never searched exhaustively.
+# k-th residues mod a prime power above this are supported only for an odd
+# prime p <= this bound that does not divide k (the bound of a scan mod p).
 EXHAUSTIVE_PRIME_POWER_LIMIT = 10**6
-
-# Full root tables are memoized only for prime powers up to this bound.
-_ROOT_TABLE_LIMIT = 2048
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3*10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -216,16 +214,20 @@ def factorize(n: int) -> dict[int, int]:
     if not 2 <= n < FACTOR_LIMIT:
         raise ValueError(f"factorize requires 2 <= n < 2**127, got {n}")
     fac: dict[int, int] = {}
-    # the shared cache may reach far past 10**4; Pollard rho takes the
-    # cofactor from there
-    for p in _primes_at_least(10**4):
+    # trial division stops at p > 10**4 (the first such prime, 10007, is in
+    # the cache) or at p**2 > n; the shared cache may reach far past 10**4.
+    # No prime below p divides the cofactor n, so n < p**2 is 1 or a prime,
+    # and Pollard rho takes any other n
+    for p in _primes_at_least(10007):
         if p > 10**4 or p * p > n:
             break
         while n % p == 0:
             fac[p] = fac.get(p, 0) + 1
             n //= p
-    if n > 1:
+    if n >= p * p:
         _factor_into(n, fac)
+    elif n > 1:
+        fac[n] = 1
     return dict(sorted(fac.items()))
 
 
@@ -427,76 +429,94 @@ def crt_combine(residues: list[tuple[int, int]]) -> tuple[int, int]:
 # k-th power residues (unit solutions of w**k = a mod q)
 # ---------------------------------------------------------------------------
 
-_root_tables: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
+def _cube_roots_mod_p(a: int, p: int) -> list[int]:
+    """The cube roots of a unit a mod a prime p = 1 (mod 3), by
+    Adleman-Manders-Miller: a discrete logarithm in the 3-Sylow subgroup,
+    found one base-3 digit at a time, gives one root; the cube roots of
+    unity give the other two."""
+    n = p - 1
+    if pow(a, n // 3, p) != 1:
+        return []
+    # p - 1 = 3**s * t with 3 not dividing t
+    t, s = n, 0
+    while t % 3 == 0:
+        t //= 3
+        s += 1
+    g = 2
+    while pow(g, n // 3, p) == 1:
+        g += 1
+    # z generates the 3-Sylow subgroup (order 3**s), zeta has order 3
+    z = pow(g, t, p)
+    zeta = pow(z, 3 ** (s - 1), p)
+    z_inv = pow(z, -1, p)
+    # a**t = z**e; digit i of e is read off (a**t * z**-e_low)**(3**(s-1-i)),
+    # which is zeta**digit
+    b, e = pow(a, t, p), 0
+    for i in range(s):
+        c = pow(b * pow(z_inv, e, p) % p, 3 ** (s - 1 - i), p)
+        e += (0 if c == 1 else 1 if c == zeta else 2) * 3**i
+    # a is a cube, so 3 divides e and (z**(e/3))**3 = a**t; with u*t + 3*v = 1,
+    # a = (a**t)**u * (a**v)**3
+    u = pow(t, -1, 3)
+    v = (1 - u * t) // 3
+    root = pow(z, e // 3 * u, p) * pow(a, v % n, p) % p
+    return [root, root * zeta % p, root * zeta * zeta % p]
 
 
-def _prime_power_root_table(k: int, pa: int, p: int) -> dict[int, tuple[int, ...]]:
-    key = (k, pa)
-    table = _root_tables.get(key)
-    if table is None:
-        build: dict[int, list[int]] = {}
-        for w in range(1, pa):
-            if w % p == 0:
-                continue
-            build.setdefault(pow(w, k, pa), []).append(w)
-        table = {a: tuple(ws) for a, ws in build.items()}
-        _root_tables[key] = table
-    return table
+def _roots_mod_p(a: int, k: int, p: int) -> list[int]:
+    """The roots of w**k = a mod a prime p, for a unit a."""
+    if gcd(k, p - 1) == 1:
+        # w -> w**k permutes the units; its inverse is w -> w**(1/k mod p-1)
+        return [pow(a, pow(k, -1, p - 1), p)]
+    if k == 3:
+        return _cube_roots_mod_p(a, p)
+    return [w for w in range(1, p) if pow(w, k, p) == a]
 
 
-def _prime_power_roots_exhaustive(a: int, k: int, p: int, alpha: int) -> tuple[int, ...]:
-    pa = p**alpha
-    if pa <= _ROOT_TABLE_LIMIT:
-        return _prime_power_root_table(k, pa, p).get(a % pa, ())
-    a %= pa
-    return tuple(w for w in range(1, pa) if w % p and pow(w, k, pa) == a)
-
-
-def _prime_power_roots_hensel(a: int, k: int, p: int, alpha: int) -> tuple[int, ...]:
-    # p odd, p does not divide k: every root mod p lifts uniquely
-    a_p = a % p
-    if a_p == 0:
-        return ()
-    roots = [w for w in range(1, p) if pow(w, k, p) == a_p]
+def _prime_power_roots(a: int, k: int, p: int, alpha: int) -> list[int]:
+    """The unit roots of w**k = a mod p**alpha: the roots mod p, lifted one
+    power of p at a time. A root mod p**j lifts by Newton's step when p does
+    not divide k (then k*w**(k-1) is a unit); otherwise every w + t*p**j,
+    t < p, is tried."""
+    if p**alpha > EXHAUSTIVE_PRIME_POWER_LIMIT and (
+            p == 2 or k % p == 0 or p > EXHAUSTIVE_PRIME_POWER_LIMIT):
+        raise UnsupportedModulusError(
+            f"k-th residues unsupported for prime power {p}**{alpha} with k={k}"
+        )
+    if a % p == 0:
+        return []
+    roots = _roots_mod_p(a % p, k, p)
     pj = p
     for _ in range(alpha - 1):
         pj_next = pj * p
         a_next = a % pj_next
-        lifted = []
-        for w in roots:
-            fw = (pow(w, k, pj_next) - a_next) % pj_next
-            # f'(w) = k*w^(k-1) is a unit mod p
-            step = fw // pj * pow(k * pow(w, k - 1, p) % p, -1, p) % p
-            lifted.append((w - step * pj) % pj_next)
-        roots = lifted
+        if k % p:
+            lifted = []
+            for w in roots:
+                fw = (pow(w, k, pj_next) - a_next) % pj_next
+                step = fw // pj * pow(k * pow(w, k - 1, p) % p, -1, p) % p
+                lifted.append((w - step * pj) % pj_next)
+            roots = lifted
+        else:
+            roots = [v for w in roots for v in range(w, pj_next, pj)
+                     if pow(v, k, pj_next) == a_next]
         pj = pj_next
-    return tuple(sorted(roots))
-
-
-def _prime_power_roots(a: int, k: int, p: int, alpha: int) -> tuple[int, ...]:
-    pa = p**alpha
-    if pa <= EXHAUSTIVE_PRIME_POWER_LIMIT:
-        return _prime_power_roots_exhaustive(a, k, p, alpha)
-    if p == 2 or k % p == 0 or p > EXHAUSTIVE_PRIME_POWER_LIMIT:
-        raise UnsupportedModulusError(
-            f"k-th residues unsupported for prime power {p}**{alpha} with k={k}"
-        )
-    return _prime_power_roots_hensel(a, k, p, alpha)
+    return roots
 
 
 def kth_residue_solutions(a: int, k: int, q: int) -> list[int]:
     """All unit residues w mod q with w**k = a (mod q), sorted.
 
-    Solved per prime power (exhaustively below 10**6, by Hensel lifting from
-    the base prime above when p is odd and does not divide k) and then glued
-    with the Chinese remainder theorem.
+    Solved per prime power (the roots mod p, lifted to p**alpha) and then
+    glued with the Chinese remainder theorem. A prime power above 10**6
+    raises UnsupportedModulusError when p = 2, p divides k or p > 10**6.
     """
     if q < 2:
         raise ValueError("modulus must be >= 2")
     if k < 1:
         raise ValueError("exponent must be >= 1")
     a %= q
-    parts: list[tuple[tuple[int, ...], int]] = []
+    parts: list[tuple[list[int], int]] = []
     for p, alpha in factorize(q).items():
         pa = p**alpha
         roots = _prime_power_roots(a % pa, k, p, alpha)

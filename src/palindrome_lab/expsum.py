@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from . import arith
 from .oscillate import PSI, SmoothBump, fourier_transform
 
@@ -65,23 +67,40 @@ class ExpSumParams:
 
 
 @lru_cache(maxsize=64)
-def _inverse_table(c: int) -> tuple[int, ...]:
-    # inv[x] = x^(-1) mod c, or -1 when x is not a unit
-    return tuple(
-        pow(x, -1, c) if gcd(x, c) == 1 else -1 for x in range(c)
-    )
-
-
-@lru_cache(maxsize=64)
-def _root_of_unity_table(c: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(TWO_PI * 1j * j / c) for j in range(c))
+def _k2_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inverses, roots) for a modulus c >= 2, read-only arrays:
+    inverses[x] = x^(-1) mod c, or -1 when x is not a unit, and
+    roots[j] = e(j/c) as cmath.exp gives it."""
+    phi = c
+    for p in arith.factorize(c):
+        phi -= phi // p
+    # x^(phi-1) is the inverse of a unit x, by square-and-multiply in int64
+    # (every product is below c^2)
+    x = np.arange(c, dtype=np.int64)
+    inverses = np.ones(c, dtype=np.int64)
+    power, e = x.copy(), phi - 1
+    while e:
+        if e & 1:
+            inverses = inverses * power % c
+        power = power * power % c
+        e >>= 1
+    inverses[np.gcd(x, c) != 1] = -1
+    roots = np.array([cmath.exp(TWO_PI * 1j * j / c) for j in range(c)])
+    inverses.flags.writeable = roots.flags.writeable = False
+    return inverses, roots
 
 
 K2_DIRECT_LIMIT = 2 * 10**6
 
 
 def k2_full(params: ExpSumParams) -> complex:
-    """Direct O(c) evaluation of K2; phases reduced mod c in exact integers."""
+    """Direct O(c) evaluation of K2; phases reduced mod c in exact integers.
+
+    The arguments are reduced mod c first, so every int64 product stays below
+    c^2 <= 4*10**12. The roots of unity are added from x = 0 upwards, each to
+    the running total (np.cumsum, not the pairwise np.sum), which gives the
+    bits of a plain Python loop.
+    """
     c = params.c
     if c > K2_DIRECT_LIMIT:
         raise ValueError(
@@ -90,19 +109,17 @@ def k2_full(params: ExpSumParams) -> complex:
         )
     if c == 1:
         return 1.0 + 0.0j
-    a1, a2, a3, q = params.a1, params.a2, params.a3, params.q
-    inv = _inverse_table(c)
-    roots = _root_of_unity_table(c)
-    total = 0.0 + 0.0j
-    for x in range(c):
-        ix = inv[x]
-        if ix < 0:
-            continue
-        iy = inv[(x + q) % c]
-        if iy < 0:
-            continue
-        phase = (a1 * x + a2 * ix * ix + a3 * iy * iy) % c
-        total += roots[phase]
+    a1, a2, a3, q = (v % c for v in (params.a1, params.a2, params.a3, params.q))
+    inverses, roots = _k2_tables(c)
+    # y = x + q; its inverse is inverses[(x + q) mod c]
+    iy = np.roll(inverses, -q)
+    units = (inverses >= 0) & (iy >= 0)
+    x = np.flatnonzero(units)
+    ix, iy = inverses[units], iy[units]
+    phase = (a1 * x + a2 * (ix * ix % c) + a3 * (iy * iy % c)) % c
+    terms = np.zeros(len(x) + 1, dtype=np.complex128)
+    terms[1:] = roots[phase]
+    total = complex(np.cumsum(terms)[-1])
     return total / math.sqrt(c)
 
 

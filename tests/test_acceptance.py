@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from palindrome_lab import acceptance, arith, census, expsum
+from palindrome_lab import acceptance, arith, census, expsum, oscillate
 from palindrome_lab.cli import main
 
 
@@ -99,6 +99,24 @@ def test_criterion_5_oscillatory_constants():
     _run(acceptance.criterion_oscillatory_constants)
 
 
+def test_criterion_5_fails_on_bound_below_observed(monkeypatch):
+    # the first spec of the campaign is checked against half its observed
+    # integral instead of 4M/m
+    real = oscillate._check_bound
+    calls = []
+
+    def scaled(spec, label, k_pieces, phase_derivative, floor, bound):
+        calls.append(label)
+        if len(calls) == 1:
+            bound = 0.5 * real(spec, label, k_pieces, phase_derivative, floor, bound).observed
+        return real(spec, label, k_pieces, phase_derivative, floor, bound)
+
+    monkeypatch.setattr(oscillate, "_check_bound", scaled)
+    result = acceptance.criterion_oscillatory_constants(quick=True)
+    assert result.passed is False
+    assert "violations=1 " in result.detail
+
+
 def test_criterion_6_poisson_identity():
     _run(acceptance.criterion_poisson_identity)
 
@@ -148,16 +166,37 @@ def test_criterion_10_determinism():
     _run(acceptance.criterion_determinism)
 
 
+def test_criterion_10_fails_on_payload_that_changes(monkeypatch):
+    # each call renders different bytes, as a report fed by leaked state would
+    calls = []
+
+    def payload(quick=True):
+        calls.append(quick)
+        return f"run {len(calls)}\n"
+
+    monkeypatch.setattr(acceptance, "report_payload", payload)
+    assert acceptance.criterion_determinism().passed is False
+    assert acceptance.criterion_determinism(rendered="run 3\n").passed is True
+    assert acceptance.criterion_determinism(rendered="run 3\n").passed is False
+    assert calls == [True] * 4
+
+
 REFERENCE_CSV = (Path(__file__).resolve().parents[1]
                  / "perfbench" / "reference" / "verify_quick_c1-9.csv")
 
 
-def test_verify_all_quick_contract(tmp_path):
+def test_verify_all_quick_contract(tmp_path, monkeypatch):
     # the CLI smoke mode finishes quickly and exits 0, and the header and
-    # criteria 1-9 match the recorded report byte for byte
+    # criteria 1-9 match the recorded report byte for byte; criterion 10
+    # compares one rerun with the rows 1-9 already rendered
+    reruns = []
+    real = acceptance.report_payload
+    monkeypatch.setattr(acceptance, "report_payload",
+                        lambda quick=True: reruns.append(quick) or real(quick))
     out = tmp_path / "verify.csv"
     code = main(["verify-all", "--quick", "--output", str(out)])
     print(out.read_text())
     assert code == 0
     head = out.read_bytes().splitlines(keepends=True)[:10]
     assert b"".join(head) == REFERENCE_CSV.read_bytes()
+    assert reruns == [True]

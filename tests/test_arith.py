@@ -83,6 +83,24 @@ def test_factorize_trial_division_stops_at_1e4(monkeypatch):
     assert cofactors[0] == 999983 * p2
 
 
+def test_factorize_below_1e8_runs_no_primality_test(monkeypatch):
+    # trial division reaches every prime up to min(sqrt(n), 10**4); what is
+    # left of n < 10**8 is 1 or a prime and is recorded without a test
+    def refuse(n):
+        raise AssertionError(f"is_probable_prime({n}) called")
+
+    monkeypatch.setattr(arith, "is_probable_prime", refuse)
+    rng = random.Random(13)
+    values = [rng.randrange(2, 10**8) for _ in range(3000)]
+    values += [99999989, 9973 * 10007, 9973**2, 2 * 49999991, 10007, 9973, 2, 97 * 103]
+    for n in values:
+        fac = factorize(n)
+        assert math.prod(p**e for p, e in fac.items()) == n
+        assert list(fac) == sorted(fac)
+    assert factorize(99999989) == {99999989: 1}
+    assert factorize(9973 * 10007) == {9973: 1, 10007: 1}
+
+
 def test_factorize_range_errors():
     with pytest.raises(ValueError):
         factorize(1)
@@ -264,6 +282,57 @@ def test_kth_residue_unsupported():
     big_prime = 1000003
     with pytest.raises(UnsupportedModulusError):
         kth_residue_solutions(1, 3, big_prime**2)
+
+
+def _v3(n):
+    return next(k for k in range(n) if n % 3 ** (k + 1))
+
+
+# prime powers in (2048, 2*10**5] where the cube-root route changes: p = 2
+# (Newton lifting from w = 1), p = 3 (p divides k, so lifts are tried) and
+# primes whose p - 1 has a large 3-adic part, where Adleman-Manders-Miller
+# reads several base-3 digits; 487 and 1459 (3**5 and 3**6 divide p - 1) sit
+# just below the band
+CUBE_ROOT_MODULI = (
+    *(2**alpha for alpha in range(12, 18)),
+    *(3**alpha for alpha in range(7, 12)),
+    163**2, 7**5, 13**4, 19**3, 487, 1459,
+    *(p for p in arith.primes_up_to(2 * 10**5) if p > 2048 and _v3(p - 1) >= 6),
+)
+
+
+def _cube_roots_by_scan(a, q):
+    w = np.arange(q, dtype=np.int64)
+    hit = (w * w % q * w % q == a % q) & (np.gcd(w, q) == 1)
+    return w[hit].tolist()
+
+
+@given(st.sampled_from(CUBE_ROOT_MODULI), st.integers(0, 10**12), st.booleans())
+def test_cube_roots_match_scan_on_prime_powers(q, r, cube):
+    # half the residues are cubes of a unit, so that roots exist
+    a = pow(r % (q - 1) + 1, 3, q) if cube else r
+    assert kth_residue_solutions(a, 3, q) == _cube_roots_by_scan(a, q)
+
+
+def test_cube_roots_below_1e6_match_euler_criterion():
+    # p = 2 (mod 3) has one cube root per unit, p = 1 (mod 3) three or none,
+    # and a is a cube mod p exactly when a**((p-1)/3) = 1
+    rng = random.Random(17)
+    primes = [p for p in arith.primes_up_to(10**6) if p > 999_900]
+    assert {p % 3 for p in primes} == {1, 2}
+    for p in primes:
+        residues = [1, p - 1, *(rng.randrange(1, p) for _ in range(20)),
+                    *(pow(rng.randrange(1, p), 3, p) for _ in range(20))]
+        for a in residues:
+            roots = kth_residue_solutions(a, 3, p)
+            assert all(pow(w, 3, p) == a for w in roots)
+            assert roots == sorted(set(roots))
+            if p % 3 == 2:
+                expected = 1
+            else:
+                expected = 3 if pow(a, (p - 1) // 3, p) == 1 else 0
+            assert len(roots) == expected, (a, p)
+        assert kth_residue_solutions(0, 3, p) == []
 
 
 def test_cubic_bound_small():

@@ -46,6 +46,30 @@ def test_k2_frozen_values():
     assert abs(k2_full(ExpSumParams(1, 1, -1, 1, 64))) < 1e-12
 
 
+def sequential_k2(a1, a2, a3, q, c):
+    # the direct sum as a plain loop: exact phases, cmath.exp roots of unity,
+    # each added to the running total from x = 0 up
+    total = 0.0 + 0.0j
+    for x in range(c):
+        if gcd(x, c) != 1 or gcd(x + q, c) != 1:
+            continue
+        xi = pow(x, -1, c)
+        yi = pow(x + q, -1, c)
+        phase = (a1 * x + a2 * xi * xi + a3 * yi * yi) % c
+        total += cmath.exp(expsum.TWO_PI * 1j * phase / c)
+    return total / math.sqrt(c)
+
+
+@pytest.mark.parametrize("c", (1, 2, 3, 4, 97, 2048, 2**12, 30030, 5**3 * 7**3))
+def test_k2_full_equals_sequential_sum(c):
+    # reduced mod c before any int64 product and summed in loop order, the
+    # vectorised sum keeps every bit, with arguments far above c
+    rng = random.Random(c)
+    for _ in range(2 if c > 10**4 else 6):
+        args = [rng.randrange(-10**15, 10**15) for _ in range(4)]
+        assert k2_full(ExpSumParams(*args, c)) == sequential_k2(*args, c), args
+
+
 def test_k2_zero_coefficients_give_totient():
     for c in (4, 45, 64, 100):
         totient = sum(1 for x in range(c) if gcd(x, c) == 1)
