@@ -163,14 +163,14 @@ def _spf_table(limit: int) -> np.ndarray:
     return spf
 
 
-def _omega_from_spf(q: int, spf: np.ndarray) -> int:
-    count = 0
+def _primes_from_spf(q: int, spf: np.ndarray) -> list[int]:
+    primes = []
     while q > 1:
         p = int(spf[q])
-        count += 1
+        primes.append(p)
         while q % p == 0:
             q //= p
-    return count
+    return primes
 
 
 def criterion_cubic_residue_bound(quick: bool = False, threads: int = 1) -> CriterionResult:
@@ -182,33 +182,39 @@ def criterion_cubic_residue_bound(quick: bool = False, threads: int = 1) -> Crit
     worst_ratio = 0.0
     solver_checks = 0
     for q in range(2, q_limit + 1):
-        w = np.arange(1, q, dtype=np.int64)
-        units = w[np.gcd(w, q) == 1]
+        primes = _primes_from_spf(q, spf)
+        # the units mod q: 0 <= w < q with no prime of q dividing w
+        is_unit = np.ones(q, dtype=bool)
+        for p in primes:
+            is_unit[::p] = False
+        units = np.flatnonzero(is_unit)
         cubes = (units * units % q) * units % q
         if math.gcd(q, 3) == 1:
             counts = np.bincount(cubes, minlength=q)
-            allowed = 3 ** _omega_from_spf(q, spf)
+            allowed = 3 ** len(primes)
             top = int(counts.max())
             worst_ratio = max(worst_ratio, top / allowed)
             if top > allowed:
                 bound_violations.append(f"q={q}:max={top}>3^omega={allowed}")
-        order = np.argsort(cubes, kind="stable")
-        sorted_cubes = cubes[order]
-        sorted_units = units[order]
+        # the keys cube * q + unit (below q**2) sort by cube and then by
+        # unit, so the units with cube a are the ascending slice of
+        # sorted_units between the edges of a in sorted_cubes
+        keys = np.sort(cubes * q + units)
+        sorted_cubes = keys // q
+        sorted_units = (keys % q).tolist()
         if q <= exhaustive_a_limit:
-            sample = range(q)
+            sample = list(range(q))
         else:
             rng = random.Random(SEED + q)
             sample = sorted({0, 1, 2, q - 1, q // 2,
                              *(int(c) for c in cubes[:4]),
                              *(rng.randrange(q) for _ in range(8))})
-        for a in sample:
-            lo = int(np.searchsorted(sorted_cubes, a, "left"))
-            hi = int(np.searchsorted(sorted_cubes, a, "right"))
-            brute = [int(v) for v in sorted_units[lo:hi]]
+        los = np.searchsorted(sorted_cubes, sample, "left").tolist()
+        his = np.searchsorted(sorted_cubes, sample, "right").tolist()
+        for a, lo, hi in zip(sample, los, his):
             got = arith.kth_residue_solutions(a, 3, q)
             solver_checks += 1
-            if sorted(brute) != got:
+            if sorted_units[lo:hi] != got:
                 mismatches.append(f"q={q},a={a}")
     ok = not bound_violations and not mismatches
     detail = (f"q<={q_limit} worst_count/3^omega={fmt_real(worst_ratio)} "

@@ -8,6 +8,7 @@ square-free test to a numpy int64 array at once.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -504,6 +505,19 @@ def _prime_power_roots(a: int, k: int, p: int, alpha: int) -> list[int]:
     return roots
 
 
+@lru_cache(maxsize=64)
+def _crt_plan(q: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, alpha, p**alpha, e) for each prime power of q, where the CRT
+    idempotent e is 1 mod p**alpha and 0 mod q / p**alpha; the roots w_i mod
+    the prime powers glue to sum(w_i * e_i) mod q."""
+    plan = []
+    for p, alpha in factorize(q).items():
+        pa = p**alpha
+        e, _ = crt_combine([(1, pa), (0, q // pa)])
+        plan.append((p, alpha, pa, e))
+    return tuple(plan)
+
+
 def kth_residue_solutions(a: int, k: int, q: int) -> list[int]:
     """All unit residues w mod q with w**k = a (mod q), sorted.
 
@@ -516,14 +530,10 @@ def kth_residue_solutions(a: int, k: int, q: int) -> list[int]:
     if k < 1:
         raise ValueError("exponent must be >= 1")
     a %= q
-    parts: list[tuple[list[int], int]] = []
-    for p, alpha in factorize(q).items():
-        pa = p**alpha
+    glued = [0]
+    for p, alpha, pa, e in _crt_plan(q):
         roots = _prime_power_roots(a % pa, k, p, alpha)
         if not roots:
             return []
-        parts.append((roots, pa))
-    combos: list[tuple[int, int]] = [(0, 1)]
-    for roots, pa in parts:
-        combos = [crt_combine([(r, m), (w, pa)]) for r, m in combos for w in roots]
-    return sorted(r for r, _ in combos)
+        glued = [(c + w * e) % q for c in glued for w in roots]
+    return sorted(glued)

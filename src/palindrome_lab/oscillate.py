@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 from typing import Callable
 
@@ -162,26 +164,46 @@ class SmoothBump:
     def __call__(self, x: float) -> float:
         return self.derivative(x, 0)
 
+    def derivative_fn(self, order: int) -> Callable[[float], float]:
+        """The function x -> self.derivative(x, order)."""
+        return lambda x: self.derivative(x, order)
+
     def with_node_cache(self) -> SmoothBump:
-        """A copy whose derivative(x, order) computes each value once and then
-        answers from a dict keyed by (x, order). QUADPACK's QAWO puts its
+        """A copy that computes each derivative value once and then answers
+        from a dict per order, keyed by the node. QUADPACK's QAWO puts its
         nodes at the same points of a piece for every frequency, so a sweep
         over frequencies evaluates the ramp once per node. The values are the
-        same floats; the dict lives as long as the copy."""
+        same floats; the dicts live as long as the copy."""
         return _NodeCachedBump(self.support, self.plateau)
+
+
+class _NodeValues(dict):
+    """The values of one function keyed by its argument, each computed on
+    first lookup; the bound __getitem__ is the cached function."""
+
+    def __init__(self, compute: Callable[[float], float]):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, x: float) -> float:
+        value = self[x] = self._compute(x)
+        return value
 
 
 class _NodeCachedBump(SmoothBump):
     def __init__(self, support: tuple[float, float], plateau: tuple[float, float]):
         super().__init__(support, plateau)
-        self._node_values: dict[tuple[float, int], float] = {}
+        compute = super().derivative
+        self._node_values = [_NodeValues(partial(compute, order=order))
+                             for order in range(KMAX_DERIVATIVE + 1)]
+
+    def derivative_fn(self, order: int) -> Callable[[float], float]:
+        if not 0 <= order <= KMAX_DERIVATIVE:
+            raise ValueError(f"derivative order must be in [0, {KMAX_DERIVATIVE}]")
+        return self._node_values[order].__getitem__
 
     def derivative(self, x: float, order: int = 0) -> float:
-        key = (x, order)
-        value = self._node_values.get(key)
-        if value is None:
-            value = self._node_values[key] = super().derivative(x, order)
-        return value
+        return self.derivative_fn(order)(x)
 
 
 PSI = SmoothBump((0.5, 2.5), (1.0, 2.0))
@@ -235,7 +257,8 @@ def fourier_transform(f, k: float, support=None, tol: float = 1e-10,
     fourier_transform(f, k).conjugate() for a real f; expsum.poisson_check
     relies on this to compute one transform per |k|. A bump made by
     SmoothBump.with_node_cache evaluates each quadrature node once across
-    such calls.
+    such calls; a bump's integrand is its derivative_fn, taken once per
+    call.
     """
     is_bump = isinstance(f, SmoothBump)
     if support is None:
@@ -248,10 +271,10 @@ def fourier_transform(f, k: float, support=None, tol: float = 1e-10,
 
     if is_bump and abs(k) >= 4.0:
         scale = 1.0 / (TWO_PI * k) ** 4
-        raw, err = _ft_raw(lambda u: f.derivative(u, 4), pieces, k, tol / scale)
+        raw, err = _ft_raw(f.derivative_fn(4), pieces, k, tol / scale)
         val, err = raw * scale, err * scale
     else:
-        val, err = _ft_raw(f, pieces, k, tol)
+        val, err = _ft_raw(f.derivative_fn(0) if is_bump else f, pieces, k, tol)
     if err > tol:
         raise QuadratureError(f"fourier_transform did not converge at k={k}", achieved=err)
     return val
@@ -297,7 +320,7 @@ def oscillatory_integral(spec: PhaseSpec) -> OscillatoryResult:
     """Adaptive quadrature of int G e^{iF}; panels are chosen from the
     sampled phase derivative so each holds at most a few oscillations."""
     xs = np.linspace(spec.a, spec.b, 2049)
-    dphi = np.abs([spec.df(float(x)) for x in xs])
+    dphi = np.abs([spec.df(x) for x in xs.tolist()])
     cum = np.concatenate([[0.0], np.cumsum((dphi[1:] + dphi[:-1]) * 0.5 * np.diff(xs))])
     total_phase = float(cum[-1])
     n_panels = max(1, int(math.ceil(total_phase / (8.0 * math.pi))))
@@ -340,7 +363,7 @@ class BoundCheckReport:
 
 
 def _sample(fn, a, b, n):
-    return np.array([fn(float(x)) for x in np.linspace(a, b, n)])
+    return np.array([fn(x) for x in np.linspace(a, b, n).tolist()])
 
 
 def _count_monotone_pieces(values: np.ndarray, slack: float) -> int:
@@ -422,6 +445,25 @@ def random_first_derivative_spec(rng) -> tuple[PhaseSpec, float]:
     return spec, 0.999 * m_floor
 
 
+def _piecewise_linear(kx: list[float], ky: list[float]) -> Callable[[float], float]:
+    """x -> float(np.interp(x, kx, ky)) for finite x and increasing knots kx,
+    computed in Python with np.interp's arithmetic: y_j exactly at a knot,
+    slope_j * (x - x_j) + y_j between x_j and x_(j+1), clamped to the end
+    values outside [kx[0], kx[-1]]."""
+    last = len(kx) - 1
+    slopes = [(ky[j + 1] - ky[j]) / (kx[j + 1] - kx[j]) for j in range(last)]
+
+    def g(x: float) -> float:
+        j = bisect_right(kx, x) - 1
+        if j < 0:
+            return ky[0]
+        if j == last or kx[j] == x:
+            return ky[j]
+        return slopes[j] * (x - kx[j]) + ky[j]
+
+    return g
+
+
 def random_second_derivative_spec(rng) -> tuple[PhaseSpec, float]:
     """A random spec with one-signed F'' and piecewise-monotone G, plus its r."""
     a = rng.uniform(-2.0, 1.0)
@@ -433,12 +475,9 @@ def random_second_derivative_spec(rng) -> tuple[PhaseSpec, float]:
     df = lambda x: sign * (gamma * x + delta)
     d2f = lambda x: sign * gamma
     k_pieces = rng.randint(1, 3)
-    knots_x = np.linspace(a, b, k_pieces + 1)
+    knots_x = np.linspace(a, b, k_pieces + 1).tolist()
     knots_y = [rng.uniform(0.0, 3.0) for _ in range(k_pieces + 1)]
-
-    def g(x, kx=knots_x, ky=knots_y):
-        return float(np.interp(x, kx, ky))
-
+    g = _piecewise_linear(knots_x, knots_y)
     spec = PhaseSpec(f=f, df=df, d2f=d2f, g=g, a=a, b=b,
                      amp_bound=max(knots_y), g_pieces=k_pieces)
     return spec, 0.999 * gamma

@@ -140,6 +140,16 @@ def test_criterion_7_fails_on_dropped_root(monkeypatch):
     assert not acceptance.criterion_cubic_residue_bound(quick=True).passed
 
 
+def test_criterion_7_fails_on_neighbouring_residue(monkeypatch):
+    # answers for a + 1: the brute-force slice of each a must be compared
+    # with the solver's answer for that same a
+    real = arith.kth_residue_solutions
+    monkeypatch.setattr(arith, "kth_residue_solutions", lambda a, k, q: real(a + 1, k, q))
+    result = acceptance.criterion_cubic_residue_bound(quick=True)
+    assert not result.passed
+    assert "mismatches=0" not in result.detail
+
+
 def test_criterion_8_prop1_shape():
     _run(acceptance.criterion_prop1_shape)
 

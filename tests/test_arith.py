@@ -4,7 +4,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from palindrome_lab import arith
@@ -228,6 +228,16 @@ def test_strip_small_primes_paths_agree():
         assert arith._small_prime_divisors(n, limit) == walked, n
 
 
+@given(st.integers(1, 2**42))
+@example(2**42)
+def test_icbrt_at_cubes_and_their_neighbours(n):
+    # n**3 + 1 <= 2**126 + 1, inside the advertised domain below 2**127
+    cube = n**3
+    assert arith._icbrt(cube - 1) == n - 1
+    assert arith._icbrt(cube) == n
+    assert arith._icbrt(cube + 1) == n
+
+
 def test_kth_residue_examples():
     assert kth_residue_solutions(1, 3, 7) == [1, 2, 4]
     assert kth_residue_solutions(2, 2, 8) == []
@@ -261,6 +271,19 @@ def test_kth_residue_matches_bruteforce_sampled():
         k = rng.choice((2, 3))
         a = rng.randrange(q)
         assert kth_residue_solutions(a, k, q) == brute_roots(a, k, q)
+
+
+def test_kth_residue_interleaved_exponents_and_moduli():
+    # the CRT plan is cached per modulus; with an odd number of moduli taken
+    # in turn and k alternating, each modulus is revisited with both k and
+    # fresh residues, and must see neither the last k nor the last a
+    rng = random.Random(11)
+    moduli = (2 * 5 * 7 * 13, 2**3 * 3**2 * 7, 11**2 * 19, 997, 4 * 7 * 11**2)
+    for i in range(400):
+        q = moduli[i % len(moduli)]
+        k = 2 + i % 2
+        a = pow(rng.randrange(1, q), k, q) if i % 4 < 2 else rng.randrange(q)
+        assert kth_residue_solutions(a, k, q) == brute_roots(a, k, q), (a, k, q)
 
 
 def test_kth_residue_hensel_path():

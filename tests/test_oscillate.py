@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from palindrome_lab import oscillate
 from palindrome_lab.oscillate import (
     KMAX_DERIVATIVE,
     PHI,
@@ -270,6 +271,31 @@ def test_randomized_second_derivative_bounds():
         spec, r = random_second_derivative_spec(rng)
         rep = check_second_derivative_bound(spec, r)
         assert rep.passed
+
+
+def test_second_derivative_amplitude_equals_np_interp(monkeypatch):
+    # the amplitude is np.interp's piecewise-linear interpolant in Python;
+    # it must give np.interp's float on the bound checks' sample grid, at
+    # the knots and ends, between them and just outside [a, b]
+    knots = []
+    real = oscillate._piecewise_linear
+    monkeypatch.setattr(oscillate, "_piecewise_linear",
+                        lambda kx, ky: knots.append((kx, ky)) or real(kx, ky))
+    pieces_seen = set()
+    for seed in range(240):
+        rng = random.Random(seed)
+        spec, _ = random_second_derivative_spec(rng)
+        kx, ky = knots[-1]
+        a, b = spec.a, spec.b
+        assert kx == np.linspace(a, b, spec.g_pieces + 1).tolist()
+        pieces_seen.add(spec.g_pieces)
+        xs = [*np.linspace(a, b, oscillate._BOUND_SAMPLES).tolist(), *kx,
+              *(rng.uniform(a, b) for _ in range(50)),
+              math.nextafter(a, -math.inf), math.nextafter(b, math.inf),
+              a - 1e-9, b + 1e-9, a - 1.0, b + 1.0]
+        for x in xs:
+            assert spec.g(x) == float(np.interp(x, kx, ky)), (seed, x)
+    assert pieces_seen == {1, 2, 3}
 
 
 # --------------------------------------------------- nonstationary decay

@@ -122,6 +122,17 @@ def test_count_up_to_at_powers():
     assert count_up_to(2, 2**20) == count_up_to(2, 2**20 - 1)
 
 
+def test_count_up_to_below_every_power_of_the_base():
+    # b**N - 1 is the largest N-digit value, so the count is the sum of the
+    # closed forms for 1..N digits; over bases 2..64 up to 2**127
+    for b in range(2, 65):
+        n_digits, expected = 1, 0
+        while b**n_digits < 2**127:
+            expected += closed_form_count(b, n_digits)
+            assert count_up_to(b, b**n_digits - 1) == expected, (b, n_digits)
+            n_digits += 1
+
+
 def test_overflow_guards():
     with pytest.raises(OverflowError):
         stream_fixed_length(2, 128)
