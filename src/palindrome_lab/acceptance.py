@@ -201,7 +201,7 @@ def criterion_cubic_residue_bound(quick: bool = False, threads: int = 1) -> Crit
         # sorted_units between the edges of a in sorted_cubes
         keys = np.sort(cubes * q + units)
         sorted_cubes = keys // q
-        sorted_units = (keys % q).tolist()
+        sorted_units = keys % q
         if q <= exhaustive_a_limit:
             sample = list(range(q))
         else:
@@ -214,7 +214,7 @@ def criterion_cubic_residue_bound(quick: bool = False, threads: int = 1) -> Crit
         for a, lo, hi in zip(sample, los, his):
             got = arith.kth_residue_solutions(a, 3, q)
             solver_checks += 1
-            if sorted_units[lo:hi] != got:
+            if sorted_units[lo:hi].tolist() != got:
                 mismatches.append(f"q={q},a={a}")
     ok = not bound_violations and not mismatches
     detail = (f"q<={q_limit} worst_count/3^omega={fmt_real(worst_ratio)} "

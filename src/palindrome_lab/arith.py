@@ -330,18 +330,6 @@ def is_squarefree(n: int) -> bool:
 _MASK_BLOCK = 1 << 16
 
 
-def _floor_cbrt(n: int) -> int:
-    # integer Newton iteration from above; it decreases to floor(n^(1/3)).
-    # Kept apart from _icbrt, which the census's Mobius route uses, so that
-    # a fault in one cube root cannot reach both routes.
-    r = 1 << -(-n.bit_length() // 3)
-    while True:
-        s = (2 * r + n // (r * r)) // 3
-        if s >= r:
-            return r
-        r = s
-
-
 def squarefree_mask(values: np.ndarray) -> np.ndarray:
     """is_squarefree over an array of values >= 1, as a boolean array.
 
@@ -360,7 +348,7 @@ def squarefree_mask(values: np.ndarray) -> np.ndarray:
         raise ValueError("squarefree_mask requires values >= 1")
     square_divisor = np.zeros(len(values), dtype=bool)
     cofactor = values.copy()
-    primes = _prime_array(_floor_cbrt(int(values.max())))
+    primes = _prime_array(_icbrt(int(values.max())))
     step = max(1, _MASK_BLOCK // len(values))
     for start in range(0, len(primes), step):
         block = primes[start : start + step]

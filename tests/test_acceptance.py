@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from palindrome_lab import acceptance, arith, census, expsum, oscillate
 from palindrome_lab.cli import main
 
@@ -24,17 +26,26 @@ def test_criterion_1_mobius_identity():
 
 
 def test_criterion_1_fails_on_broken_mobius_route(monkeypatch):
-    monkeypatch.setattr(census, "_square_divisor_mobius_sum", lambda n: -1)
+    # a walk blind to palindromes drops the d above the crossover, such as
+    # d = 101 with 101^2 = 10201 at b = 10, x = 10^5
+    monkeypatch.setattr(census, "_palindrome_mask",
+                        lambda values, b: np.zeros(len(values), dtype=bool))
     result = acceptance.criterion_mobius_identity(quick=True)
     assert not result.passed
-    assert "mobius census identity failed" in result.detail
+    assert "b=10,x=100000:mobius census identity failed" in result.detail
 
 
-def test_criterion_1_fails_on_cofactor_fault(monkeypatch):
-    # a cofactor test blind to squares (121 = 11^2 is a restricted base-3
-    # palindrome) reaches only the Mobius route; the batch mask that counts
-    # the direct route does not call it
-    monkeypatch.setattr(arith, "_cofactor_exponents", lambda m, count_primes: [1])
+def test_criterion_1_fails_on_squarefree_mask_fault(monkeypatch):
+    # a batch mask blind to 121 = 11^2, a restricted base-3 palindrome,
+    # reaches only the direct count; the Mobius route does not call it
+    real = arith.squarefree_mask
+
+    def blind_to_121(values):
+        mask = real(values)
+        mask[values % 121 == 0] = True
+        return mask
+
+    monkeypatch.setattr(arith, "squarefree_mask", blind_to_121)
     result = acceptance.criterion_mobius_identity(quick=True)
     assert result.passed is False
     assert "b=3,x=1000:mobius census identity failed" in result.detail

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from palindrome_lab import census
+from palindrome_lab import arith
 from palindrome_lab.cli import main
 
 
@@ -63,7 +64,9 @@ def test_census_million_predicted(tmp_path):
 
 
 def test_census_fault_injection(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(census, "_square_divisor_mobius_sum", lambda n: -1)
+    # a square-free test that passes everything counts 343 = 7^3
+    monkeypatch.setattr(arith, "squarefree_mask",
+                        lambda values: np.ones(len(values), dtype=bool))
     code = main(["census", "--base", "10", "--max", "1000",
                  "--output", str(tmp_path / "x")])
     assert code == 1
