@@ -7,7 +7,6 @@ square-free test to a numpy int64 array at once.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -29,46 +28,38 @@ class UnsupportedModulusError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small prime table (immutable tuple, grown by replacement; safe to share)
+# prime table (a read-only int64 array, grown by replacement; safe to share)
 # ---------------------------------------------------------------------------
 
-_prime_cache: tuple[int, ...] = ()
-_prime_cache_limit = 0
+_prime_table = np.empty(0, dtype=np.int64)
+_prime_table_limit = 0
+
+
+def _prime_table_to(limit: int) -> np.ndarray:
+    """The primes <= limit as a read-only int64 array, a view of the cached
+    table; a larger limit re-sieves it to max(limit, twice its bound, 10**4)."""
+    global _prime_table, _prime_table_limit
+    if limit > _prime_table_limit:
+        new_limit = max(limit, 2 * _prime_table_limit, 10**4)
+        sieve = np.ones(new_limit + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, isqrt(new_limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        _prime_table = np.flatnonzero(sieve).astype(np.int64, copy=False)
+        _prime_table.flags.writeable = False
+        _prime_table_limit = new_limit
+    return _prime_table[: np.searchsorted(_prime_table, limit, side="right")]
 
 
 def primes_up_to(limit: int) -> tuple[int, ...]:
-    """All primes <= limit, from a cached sieve."""
-    global _prime_cache, _prime_cache_limit
-    if limit > _prime_cache_limit:
-        new_limit = max(limit, 2 * _prime_cache_limit, 10**4)
-        sieve = bytearray([1]) * (new_limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, isqrt(new_limit) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(range(i * i, new_limit + 1, i)))
-        _prime_cache = tuple(i for i in range(2, new_limit + 1) if sieve[i])
-        _prime_cache_limit = new_limit
-    return _prime_cache[: bisect_right(_prime_cache, limit)]
+    """All primes <= limit as Python ints, from the cached table."""
+    return tuple(_prime_table_to(limit).tolist())
 
 
-def _primes_at_least(limit: int) -> tuple[int, ...]:
-    # like primes_up_to but returns the whole cache to avoid slicing; callers
-    # break out early on their own stopping condition
-    primes_up_to(limit)
-    return _prime_cache
-
-
-_prime_array_cache = np.empty(0, dtype=np.int64)
-
-
-def _prime_array(limit: int) -> np.ndarray:
-    """primes_up_to(limit) as an int64 array, a view of a cached copy of the
-    prime table."""
-    global _prime_array_cache
-    primes = _primes_at_least(limit)
-    if len(_prime_array_cache) != len(primes):
-        _prime_array_cache = np.array(primes, dtype=np.int64)
-    return _prime_array_cache[: np.searchsorted(_prime_array_cache, limit, side="right")]
+# The primes up to 10007, the first prime above 10**4, for the scalar trial
+# division of factorize and of _strip_small_primes below 10**8.
+_SMALL_PRIMES = primes_up_to(10007)
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +206,10 @@ def factorize(n: int) -> dict[int, int]:
     if not 2 <= n < FACTOR_LIMIT:
         raise ValueError(f"factorize requires 2 <= n < 2**127, got {n}")
     fac: dict[int, int] = {}
-    # trial division stops at p > 10**4 (the first such prime, 10007, is in
-    # the cache) or at p**2 > n; the shared cache may reach far past 10**4.
-    # No prime below p divides the cofactor n, so n < p**2 is 1 or a prime,
-    # and Pollard rho takes any other n
-    for p in _primes_at_least(10007):
+    # trial division stops at p > 10**4 (the last prime of _SMALL_PRIMES) or
+    # at p**2 > n. No prime below p divides the cofactor n, so n < p**2 is 1
+    # or a prime, and Pollard rho takes any other n
+    for p in _SMALL_PRIMES:
         if p > 10**4 or p * p > n:
             break
         while n % p == 0:
@@ -276,7 +266,7 @@ def _small_prime_divisors(n: int, limit: int) -> list[int]:
     n is reduced modulo every prime at once by Horner's rule over 40-bit
     limbs, most significant first; r * 2**40 + limb stays below 2**63.
     """
-    primes = _prime_array(limit)
+    primes = _prime_table_to(limit)
     top = (n.bit_length() - 1) // _LIMB_BITS * _LIMB_BITS
     r = (n >> top) % primes
     for shift in range(top - _LIMB_BITS, -1, -_LIMB_BITS):
@@ -294,7 +284,7 @@ def _strip_small_primes(n: int) -> tuple[int, int] | None:
     """
     m, k = n, 0
     if n < _RESIDUE_SIEVE_FROM:
-        candidates = _primes_at_least(min(_icbrt(n) + 1, 10**6))
+        candidates = _SMALL_PRIMES  # the cube root of n < 10**8 is below 465
     else:
         candidates = _small_prime_divisors(n, min(_icbrt(n), 10**6))
     for p in candidates:
@@ -348,7 +338,7 @@ def squarefree_mask(values: np.ndarray) -> np.ndarray:
         raise ValueError("squarefree_mask requires values >= 1")
     square_divisor = np.zeros(len(values), dtype=bool)
     cofactor = values.copy()
-    primes = _prime_array(_icbrt(int(values.max())))
+    primes = _prime_table_to(_icbrt(int(values.max())))
     step = max(1, _MASK_BLOCK // len(values))
     for start in range(0, len(primes), step):
         block = primes[start : start + step]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def density_constant(b: int) -> tuple[float, Fraction]:
     if b < 2:
         raise ValueError("base must be >= 2")
     r = Fraction(1)
-    for p in arith.factorize(b**3 - b):
+    for p in _restricting_primes(b):
         r *= Fraction(p * p, p * p - 1)
     return ZETA2_INV * float(r), r
 
@@ -336,7 +336,7 @@ def s_b_costs(b: int, x: int, d_dyadic: int) -> tuple[int, int]:
     return cost_stream, cost_multiples
 
 
-def s_b(b: int, x: int, d_dyadic: int, strategy: str = "auto") -> int:
+def s_b(b: int, x: int, d_dyadic: int, strategy: str) -> int:
     """#(restricted palindromes <= x divisible by d^2 for some d in
     [D, 2D]); each n counted once.
 
@@ -344,14 +344,11 @@ def s_b(b: int, x: int, d_dyadic: int, strategy: str = "auto") -> int:
     sqrt(x) * D); "multiples" walks the restricted multiples of each d^2 in
     int64 blocks and keeps those that the vectorized palindrome test of the
     Mobius route accepts (cost about x/D; x < 2**63, else OverflowError);
-    "auto" picks the cheaper, "both" runs the two and insists they agree.
+    "both" runs the two and insists they agree.
     """
     if x < 1 or d_dyadic < 1:
         raise ValueError("x and D must be >= 1")
     d_lo, d_hi = d_dyadic, 2 * d_dyadic
-    if strategy == "auto":
-        cost_stream, cost_multiples = s_b_costs(b, x, d_dyadic)
-        strategy = "stream" if cost_stream < cost_multiples else "multiples"
     if strategy == "stream":
         return _s_b_stream(b, x, d_lo, d_hi)
     if strategy == "multiples":
@@ -386,12 +383,7 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
         raise ValueError("d_max must be >= 1")
     if d_max * d_max > x:
         raise ValueError("d_max must be <= sqrt(x)")
-    coprime_to = b**3 - b
-    eligible = [
-        d
-        for d in range(2, d_max + 1)
-        if gcd(d, coprime_to) == 1 and arith.is_squarefree(d)
-    ]
+    eligible = _squarefree_coprime(b, 2, d_max + 1)[0].tolist()
     for d in eligible:
         if d * d > _DISCREPANCY_CELL_LIMIT:
             raise MemoryError(f"residue histogram of size {d*d} exceeds the budget")

@@ -1,11 +1,7 @@
 """Smooth bumps, Fourier transforms, and oscillatory-integral bounds.
 
-The two canonical bumps:
-
-    psi: supported on [1/2, 5/2], identically 1 on [1, 2]
-    phi: supported on [-2, 2],   identically 1 on [-1, 1]
-
-Both are built from the C-infinity ramp
+The canonical bump psi is supported on [1/2, 5/2] and identically 1 on
+[1, 2]. Every bump is built from the C-infinity ramp
 
     sigma(t) = exp(-1/t) / (exp(-1/t) + exp(-1/(1-t)))
 
@@ -27,8 +23,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-
-from .parallel import pairwise_sum
 
 KMAX_DERIVATIVE = 10
 
@@ -207,7 +201,6 @@ class _NodeCachedBump(SmoothBump):
 
 
 PSI = SmoothBump((0.5, 2.5), (1.0, 2.0))
-PHI = SmoothBump((-2.0, 2.0), (-1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +307,19 @@ class OscillatoryResult:
 
     def __abs__(self) -> float:
         return abs(self.value)
+
+
+def pairwise_sum(values):
+    """Sum by balanced pairwise reduction (deterministic float association)."""
+    vals = list(values)
+    if not vals:
+        return 0.0
+    while len(vals) > 1:
+        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
+        if len(vals) % 2:
+            nxt.append(vals[-1])
+        vals = nxt
+    return vals[0]
 
 
 def oscillatory_integral(spec: PhaseSpec) -> OscillatoryResult:

@@ -6,14 +6,13 @@ set is therefore a list of segments (n_digits, half_lo, half_hi), one per
 digit length in increasing order, each standing for the palindromes mirrored
 from the half-prefixes in [half_lo, half_hi). A cutoff x is applied once, when
 the segments are built: the last one ends at h*(x) + 1, where h*(x) is the
-largest half-prefix whose mirror is <= x. Streams mirror the segments in
-order, one value at a time; batches mirror them as numpy arrays of at most
-BATCH_HALVES half-prefixes each; counts sum their lengths.
+largest half-prefix whose mirror is <= x. Batches mirror the segments in
+order as numpy arrays of at most BATCH_HALVES half-prefixes each (int64
+below 2**63, Python ints in an object array above); streams yield the
+values of the batches one by one as Python ints; counts sum their lengths.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 import numpy as np
 
@@ -47,45 +46,32 @@ def palindrome_from_half(h: int, b: int, n_digits: int) -> int:
     return h * b ** (m - 1) + _reverse_fixed_width(h // b, b, m - 1)
 
 
-def _mirror(b: int, segments, restricted: bool):
-    coprime_to = b**3 - b
-    for n_digits, half_lo, half_hi in segments:
-        for h in range(half_lo, half_hi):
-            n = palindrome_from_half(h, b, n_digits)
-            if restricted and gcd(n, coprime_to) != 1:
-                continue
-            yield n
-
-
-def _mirror_int64(b: int, n_digits: int, half_lo: int, half_hi: int) -> np.ndarray:
-    # palindrome_from_half over a range of h, for values below 2**63: the
-    # low n_digits - m digits are the reversal of h without its middle digit
+def _mirror(b: int, n_digits: int, half_lo: int, half_hi: int) -> np.ndarray:
+    # palindrome_from_half over a range of h, in int64 when the largest value
+    # is below 2**63 (mirroring is increasing in h), else in an object array
+    # of Python ints by the same operations: the low n_digits - m digits are
+    # the reversal of h without its middle digit
     m = (n_digits + 1) // 2
     tail = n_digits - m
-    h = np.arange(half_lo, half_hi, dtype=np.int64)
+    wide = palindrome_from_half(half_hi - 1, b, n_digits) >= _INT64_LIMIT
+    h = np.arange(half_lo, half_hi, dtype=object if wide else np.int64)
     rest = h // b ** (m - tail)
     reversed_rest = np.zeros_like(h)
     for _ in range(tail):
-        rest, digit = np.divmod(rest, b)
-        reversed_rest = reversed_rest * b + digit
+        reversed_rest = reversed_rest * b + rest % b
+        rest //= b
     return h * b**tail + reversed_rest
 
 
 def _mirror_batches(b: int, segments, restricted: bool):
-    # each chunk of half-prefixes is mirrored in int64 when its largest value
-    # is below 2**63 (mirroring is increasing in h), else by _mirror into an
-    # object array of Python ints; empty batches are skipped
+    # each segment is mirrored in chunks of at most BATCH_HALVES
+    # half-prefixes; empty batches are skipped
     coprime_to = b**3 - b
     for n_digits, half_lo, half_hi in segments:
         for lo in range(half_lo, half_hi, BATCH_HALVES):
-            hi = min(lo + BATCH_HALVES, half_hi)
-            if palindrome_from_half(hi - 1, b, n_digits) < _INT64_LIMIT:
-                batch = _mirror_int64(b, n_digits, lo, hi)
-                if restricted:
-                    batch = batch[np.gcd(batch, coprime_to) == 1]
-            else:
-                batch = np.array(list(_mirror(b, [(n_digits, lo, hi)], restricted)),
-                                 dtype=object)
+            batch = _mirror(b, n_digits, lo, min(lo + BATCH_HALVES, half_hi))
+            if restricted:
+                batch = batch[np.gcd(batch, coprime_to) == 1]
             if len(batch):
                 yield batch
 
@@ -99,7 +85,8 @@ class PalindromeStream:
     def __init__(self, base, segments, restricted):
         self.base = base
         self.restricted = restricted
-        self._values = _mirror(base, segments, restricted)
+        self._values = (n for batch in _mirror_batches(base, segments, restricted)
+                        for n in batch.tolist())
 
     def __iter__(self) -> "PalindromeStream":
         return self

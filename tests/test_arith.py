@@ -35,6 +35,38 @@ def naive_mobius_sieve(limit):
     return mu
 
 
+# the cube root of 2**63, the largest limit squarefree_mask asks for
+PRIME_LIMITS = (10**4, 10007, 2 * 10**4 + 1, 10**6, 2_097_151)
+
+
+def _primes_by_trial_division(limit):
+    # strike every candidate that a smaller survivor d <= sqrt(limit)
+    # divides; the smallest survivor above the last d struck with is prime
+    candidates = np.arange(2, limit + 1, dtype=np.int64)
+    i = 0
+    while candidates[i] ** 2 <= limit:
+        d = candidates[i]
+        candidates = candidates[(candidates % d != 0) | (candidates == d)]
+        i += 1
+    return candidates.tolist()
+
+
+@pytest.mark.parametrize("limits", (PRIME_LIMITS, PRIME_LIMITS[::-1]),
+                         ids=("ascending", "descending"))
+def test_primes_up_to_matches_trial_division(monkeypatch, limits):
+    oracle = _primes_by_trial_division(max(limits))
+    monkeypatch.setattr(arith, "_prime_table", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(arith, "_prime_table_limit", 0)
+    for limit in limits:
+        primes = arith.primes_up_to(limit)
+        assert list(primes) == [p for p in oracle if p <= limit], limit
+        assert all(type(p) is int for p in primes)
+        table = arith._prime_table_to(limit)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 4
+
+
 def test_factorize_examples():
     assert factorize(12) == {2: 2, 3: 1}
     assert factorize(990) == {2: 1, 3: 2, 5: 1, 11: 1}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palindrome_lab import census, stream_up_to
+from palindrome_lab import arith, census, stream_up_to
 from palindrome_lab.arith import is_squarefree
 from palindrome_lab.census import (
     ZETA2_INV,
@@ -34,6 +34,15 @@ def test_density_constant_values():
     # b=3 shares the same prime set {2, 3}
     assert density_constant(3)[1] == Fraction(3, 2)
     assert ZETA2_INV == pytest.approx(0.607927101854, abs=1e-10)
+
+
+def test_density_constant_is_the_product_over_factorize():
+    # the census takes the primes of b^3 - b from its own sieve
+    for b in range(2, 65):
+        r = Fraction(1)
+        for p in arith.factorize(b**3 - b):
+            r *= Fraction(p * p, p * p - 1)
+        assert density_constant(b) == (ZETA2_INV * float(r), r), b
 
 
 def test_q_star_direct_examples():
@@ -232,13 +241,13 @@ def test_q_fixed_length_examples():
 
 
 def test_s_b_examples():
-    assert s_b(10, 1000, 2) == 0
-    assert s_b(10, 10**4, 5) == 1  # 343 = 7^3 with d = 7
-    assert s_b(10, 10**6, 10) == 4
-    assert s_b(2, 10**4, 3) == 5
-    assert s_b(10, 10**4, 40) == 0
-    assert s_b(10, 10**5, 100) == 1  # 10201 = 101^2
-    assert s_b(10, 10**6, 252) == 1  # 94249 = 307^2
+    assert s_b(10, 1000, 2, "both") == 0
+    assert s_b(10, 10**4, 5, "both") == 1  # 343 = 7^3 with d = 7
+    assert s_b(10, 10**6, 10, "both") == 4
+    assert s_b(2, 10**4, 3, "both") == 5
+    assert s_b(10, 10**4, 40, "both") == 0
+    assert s_b(10, 10**5, 100, "both") == 1  # 10201 = 101^2
+    assert s_b(10, 10**6, 252, "both") == 1  # 94249 = 307^2
 
 
 @pytest.mark.parametrize(
@@ -255,13 +264,13 @@ def test_s_b_strategies_agree(b, x, D):
 
 def test_s_b_zero_beyond_sqrt():
     # no d^2 <= x once D^2 > x
-    assert s_b(10, 10**4, 101) == 0
-    assert s_b(2, 100, 11) == 0
+    assert s_b(10, 10**4, 101, "both") == 0
+    assert s_b(2, 100, 11, "both") == 0
 
 
 def test_s_b_bounded_by_total():
     total = sum(1 for _ in stream_up_to(10, 10**5, True))
-    assert s_b(10, 10**5, 2) <= total
+    assert s_b(10, 10**5, 2, "both") <= total
 
 
 def test_dyadic_cover_dominates_tail():
@@ -272,7 +281,7 @@ def test_dyadic_cover_dominates_tail():
     cover = 0
     D = lo
     while D * D <= x:
-        cover += s_b(b, x, D)
+        cover += s_b(b, x, D, "both")
         D *= 2
     direct = 0
     for n in stream_up_to(b, x, True):

@@ -9,7 +9,6 @@ import pytest
 from palindrome_lab import oscillate
 from palindrome_lab.oscillate import (
     KMAX_DERIVATIVE,
-    PHI,
     PSI,
     PhaseSpec,
     RejectedSpecError,
@@ -22,6 +21,9 @@ from palindrome_lab.oscillate import (
     random_first_derivative_spec,
     random_second_derivative_spec,
 )
+
+# a bump centred at 0, supported on [-2, 2] and identically 1 on [-1, 1]
+PHI = SmoothBump((-2.0, 2.0), (-1.0, 1.0))
 
 
 # ---------------------------------------------------------------- bumps

@@ -186,6 +186,13 @@ def test_batches_up_to_match_stream(b, x, restricted):
     batches = list(batches_up_to(b, x, restricted))
     assert all(batch.dtype == np.int64 and len(batch) for batch in batches)
     assert _flatten(batches) == list(stream_up_to(b, x, restricted))
+    # streams flatten the batches, so the reference is the scalar mirror of
+    # every half-prefix of every digit length up to that of x
+    expected = [n for n_digits in range(1, len(to_digits(x, b)) + 1)
+                for h in range(b ** ((n_digits - 1) // 2), b ** ((n_digits + 1) // 2))
+                if (n := palindrome_from_half(h, b, n_digits)) <= x
+                and (not restricted or gcd(n, b**3 - b) == 1)]
+    assert _flatten(batches) == expected
 
 
 @given(st.integers(2, 64), st.booleans(), st.integers(-300, 300), st.integers(1, 400))
@@ -203,6 +210,23 @@ def test_batches_across_int64_limit(b, restricted, offset, count):
     assert _flatten(batches) == expected == list(PalindromeStream(b, segment, restricted))
     for batch in batches:
         assert (batch.dtype == np.int64) == (max(batch.tolist()) < 2**63)
+
+
+@pytest.mark.parametrize("b", (2, 3, 10, 64))
+def test_streams_yield_python_ints_across_int64_limit(b):
+    # 50 half-prefixes on each side of 2**63 in its digit length N, and the
+    # last 50 of N - 1 digits (in base 2 no N-digit palindrome is below 2**63)
+    n_digits, h_cross = _crossing_half(b)
+    m = (n_digits + 1) // 2
+    half_below = b ** (n_digits // 2)
+    segments = [(n_digits - 1, half_below - 50, half_below),
+                (n_digits, max(h_cross - 50, b ** (m - 1)), h_cross + 50)]
+    values = list(PalindromeStream(b, segments, False))
+    assert min(values) < 2**63 <= max(values)
+    restricted = list(PalindromeStream(b, segments, True))
+    assert set(restricted) == {n for n in values if gcd(n, b**3 - b) == 1}
+    for n in values + restricted + list(stream_up_to(b, 10**4, True)):
+        assert type(n) is int
 
 
 def test_batches_split_long_segments():
