@@ -3,6 +3,10 @@
 Subcommands: enumerate, census, sbd, k2, poisson, oscillate, vdc,
 discrepancy, verify-all. Reports are CSV (RFC-4180 quoting) or JSON and are
 byte-identical for identical configurations.
+
+Handlers compute and return (rows, exit_code); main alone writes the rows to
+--output or stdout, and an error exit (rows = None) writes nothing. enumerate
+writes its unbounded, headerless stream itself and returns (None, code).
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ def _output(args):
 # handlers
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     if (args.max is None) == (args.digits is None):
         print("enumerate: exactly one of --max/--digits is required", file=sys.stderr)
-        return 2
+        return None, 2
     if args.digits is not None:
         stream = stream_fixed_length(args.base, args.digits, restricted=args.restricted)
     else:
@@ -47,14 +51,14 @@ def cmd_enumerate(args) -> int:
                 out.write(f"{n},{rendered}\n")
             else:
                 out.write(f"{n}\n")
-    return 0
+    return None, 0
 
 
-def cmd_census(args) -> int:
+def cmd_census(args):
     records = []
     if args.max is None and args.digits is None:
         print("census: one of --max/--digits is required", file=sys.stderr)
-        return 2
+        return None, 2
     try:
         if args.max is not None:
             records.append(census.census_up_to(args.base, args.max))
@@ -62,28 +66,24 @@ def cmd_census(args) -> int:
             records.append(census.q_fixed_length(args.base, args.digits))
     except ArithmeticError as exc:
         print(f"census: {exc}", file=sys.stderr)
-        return 1
-    with _output(args) as out:
-        emit(records, args.format, out)
-    return 0
+        return None, 1
+    return records, 0
 
 
-def cmd_sbd(args) -> int:
+def cmd_sbd(args):
     via_stream = census.s_b(args.base, args.max, args.d, strategy="stream")
     via_multiples = census.s_b(args.base, args.max, args.d, strategy="multiples")
     row = dict(base=args.base, x=args.max, d_dyadic=args.d,
                count_stream=via_stream, count_multiples=via_multiples)
-    with _output(args) as out:
-        emit([row], args.format, out)
-    return 0 if via_stream == via_multiples else 1
+    return [row], 0 if via_stream == via_multiples else 1
 
 
-def cmd_k2(args) -> int:
+def cmd_k2(args):
     if args.check_identity and args.c < 2:
         # the stationary-phase form needs c >= 2; below it there is no
         # second route to compare the direct sum with
         print("k2: --check-identity requires c >= 2", file=sys.stderr)
-        return 2
+        return None, 2
     params = expsum.ExpSumParams(args.a1, args.a2, args.a3, args.q, args.c)
     full = expsum.k2_full(params)
     if args.c >= 2:
@@ -94,60 +94,48 @@ def cmd_k2(args) -> int:
     row = dict(a1=args.a1, a2=args.a2, a3=args.a3, q=args.q, c=args.c,
                full_re=full.real, full_im=full.imag,
                stationary_re=sp.real, stationary_im=sp.imag, difference=diff)
-    with _output(args) as out:
-        emit([row], args.format, out)
     if args.check_identity and diff >= expsum.STATIONARY_PHASE_TOL * math.sqrt(args.c):
         print(f"k2: identity violated, |full - stationary| = {fmt_real(diff)}",
               file=sys.stderr)
-        return 1
-    return 0
+        return [row], 1
+    return [row], 0
 
 
-def cmd_poisson(args) -> int:
+def cmd_poisson(args):
     rep = expsum.poisson_demo(args.demo, args.q)
     row = dict(demo=args.demo, q=args.q,
                lhs_re=rep.lhs.real, lhs_im=rep.lhs.imag,
                rhs_re=rep.rhs.real, rhs_im=rep.rhs.imag,
                difference=rep.difference, modes=rep.m_cut)
-    with _output(args) as out:
-        emit([row], args.format, out)
-    return 0 if rep.difference < expsum.POISSON_TOL else 1
+    return [row], 0 if rep.difference < expsum.POISSON_TOL else 1
 
 
-def cmd_oscillate(args) -> int:
+def cmd_oscillate(args):
     reports = oscillate.bound_campaign(args.seed, args.count)
     rows = [dict(family=family, index=i, observed=rep.observed, bound=rep.bound,
                  passed=rep.passed) for family, i, rep in reports]
-    with _output(args) as out:
-        emit(rows, args.format, out)
-    return 0 if all(rep.passed for _, _, rep in reports) else 1
+    return rows, 0 if all(rep.passed for _, _, rep in reports) else 1
 
 
-def cmd_vdc(args) -> int:
+def cmd_vdc(args):
     reports = harness.weyl_vdc_reports(args.d, args.q_max, args.seed)
     rows = [dict(family=family, d_dyadic=args.d, q_max=args.q_max,
                  lhs=rep.lhs, rhs=rep.rhs, ratio=rep.ratio) for family, rep in reports]
-    with _output(args) as out:
-        emit(rows, args.format, out)
-    return 0 if all(rep.ratio <= 4.0 for _, rep in reports) else 1
+    return rows, 0 if all(rep.ratio <= 4.0 for _, rep in reports) else 1
 
 
-def cmd_discrepancy(args) -> int:
+def cmd_discrepancy(args):
     value = census.equidistribution_discrepancy(args.base, args.max, args.d_max)
     row = dict(base=args.base, x=args.max, d_max=args.d_max, value=value)
-    with _output(args) as out:
-        emit([row], args.format, out)
-    return 0
+    return [row], 0
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args):
     results = acceptance.run_all(quick=args.quick)
-    with _output(args) as out:
-        emit(results, args.format, out)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.cid:2d} {r.name}", file=sys.stderr)
-    return 0 if all(r.passed for r in results) else 1
+    return results, 0 if all(r.passed for r in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    rows, code = args.handler(args)
+    if rows is not None:
+        with _output(args) as out:
+            emit(rows, args.format, out)
+    return code
 
 
 if __name__ == "__main__":

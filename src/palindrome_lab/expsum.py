@@ -136,6 +136,24 @@ def stationary_split(c: int) -> tuple[int, int]:
     return c1, c2
 
 
+def _critical_residues(params: ExpSumParams, c1: int, top: int, modulus: int):
+    # (w, w^-1, (w+q)^-1) for each 1 <= w <= top with gcd(w(w+q), c) = 1 and
+    # a1 - 2 a2 wbar^3 - 2 a3 (w+q)bar^3 = 0 (mod c1), inverses taken mod a
+    # modulus with c1 | modulus | c: the congruence reads only their residues
+    # mod c1, and an inverse mod c1 costs about half one mod c
+    c, a1, a2, a3, q = params.c, params.a1, params.a2, params.a3, params.q
+    for w in range(1, top + 1):
+        if gcd(w, c) != 1:
+            continue
+        wq = (w + q) % c
+        if gcd(wq, c) != 1:
+            continue
+        wi = pow(w, -1, modulus)
+        yi = pow(wq, -1, modulus)
+        if (a1 - 2 * a2 * wi**3 - 2 * a3 * yi**3) % c1 == 0:
+            yield w, wi, yi
+
+
 def k2_stationary_phase(params: ExpSumParams) -> complex:
     """K2 via the exact stationary-phase identity (O(c2) instead of O(c)).
 
@@ -143,22 +161,10 @@ def k2_stationary_phase(params: ExpSumParams) -> complex:
     bound. The unit conditions are checked against c (they depend only on
     the residue mod rad(c), which divides c2, so this is well defined).
     """
-    c = params.c
-    if c < 2:
-        raise ValueError("c must be >= 2")
-    a1, a2, a3, q = params.a1, params.a2, params.a3, params.q
-    c1, c2 = stationary_split(c)
+    c, a1, a2, a3 = params.c, params.a1, params.a2, params.a3
+    c1, c2 = stationary_split(c)  # raises ValueError for c < 2
     total = 0.0 + 0.0j
-    for w in range(1, c2 + 1):
-        if gcd(w, c) != 1:
-            continue
-        wq = (w + q) % c
-        if gcd(wq, c) != 1:
-            continue
-        wi = pow(w, -1, c)
-        yi = pow(wq, -1, c)
-        if (a1 - 2 * a2 * wi**3 - 2 * a3 * yi**3) % c1:
-            continue
+    for w, wi, yi in _critical_residues(params, c1, c2, c):
         phase = (a1 * w + a2 * wi * wi + a3 * yi * yi) % c
         total += cmath.exp(TWO_PI * 1j * phase / c)
     return total * c1 / math.sqrt(c)
@@ -168,22 +174,10 @@ def count_critical_points(params: ExpSumParams) -> int:
     """Number of residues w mod c1 with gcd(w(w+q), c) = 1 solving the
     critical congruence a1 - 2 a2 wbar^3 - 2 a3 (w+q)bar^3 = 0 (mod c1),
     inverses taken mod c1. For c1 = 1 this is the single (empty) class."""
-    c = params.c
-    if c < 2:
-        raise ValueError("c must be >= 2")
-    c1, _ = stationary_split(c)
+    c1, _ = stationary_split(params.c)  # raises ValueError for c < 2
     if c1 == 1:
         return 1
-    a1, a2, a3, q = params.a1, params.a2, params.a3, params.q
-    count = 0
-    for w in range(1, c1 + 1):
-        if gcd(w, c) != 1 or gcd(w + q, c) != 1:
-            continue
-        wi = pow(w % c1, -1, c1)
-        yi = pow((w + q) % c1, -1, c1)
-        if (a1 - 2 * a2 * wi**3 - 2 * a3 * yi**3) % c1 == 0:
-            count += 1
-    return count
+    return sum(1 for _ in _critical_residues(params, c1, c1, c1))
 
 
 def k2(params: ExpSumParams) -> complex:

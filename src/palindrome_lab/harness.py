@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from . import census, expsum
+from . import arith, census, expsum
 from .oscillate import PSI
 from .parallel import map_in_order
 from .streams import count_up_to
@@ -62,10 +62,16 @@ def _make_fit(label, grid, observed, notes=()):
 # square-divisor count fits
 # ---------------------------------------------------------------------------
 
-def _check_sb_budget(b, x, d_dyadic, budget):
-    # the fits run strategy="both", which pays for both strategies
-    if sum(census.s_b_costs(b, x, d_dyadic)) > budget.max_probes:
-        raise BudgetExceededError(f"s_b probe budget exceeded at x={x}, D={d_dyadic}")
+def _s_b_counts(b, points, budget):
+    # S_b(x, D) per (x, D) point by strategy="both", which pays for both
+    # strategies; the budget is checked right before each point is counted
+    def count(point):
+        x, d_dyadic = point
+        if sum(census.s_b_costs(b, x, d_dyadic)) > budget.max_probes:
+            raise BudgetExceededError(f"s_b probe budget exceeded at x={x}, D={d_dyadic}")
+        return census.s_b(b, x, d_dyadic, strategy="both")
+
+    return map_in_order(count, points)
 
 
 def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int],
@@ -76,21 +82,9 @@ def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int],
     grid point and must agree exactly.
     """
     grid = list(zip(xs, ds))
-
-    def one(point):
-        x, d_dyadic = point
-        _check_sb_budget(b, x, d_dyadic, budget)
-        count = census.s_b(b, x, d_dyadic, strategy="both")
-        return count * d_dyadic**1.5 / x
-
-    observed = map_in_order(one, grid)
+    counts = _s_b_counts(b, grid, budget)
+    observed = [s * d_dyadic**1.5 / x for (x, d_dyadic), s in zip(grid, counts)]
     return _make_fit(f"s_{b} * D^(3/2) / x", grid, observed)
-
-
-_WINDOWS = {
-    "mid": (0.25, 0.4),           # D in [x^(1/4), x^(2/5)]
-    "low": (3 / 13, 8 / 31),      # D in [x^(3/13), x^(8/31)]
-}
 
 
 def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
@@ -103,26 +97,19 @@ def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
     Grid points outside a window are skipped with a note. At desk scale these
     check consistency of the shapes, not the asymptotics.
     """
+    windows = (
+        (f"s_{b} * D^(2/3) / x^(2/3)", (0.25, 0.4),
+         lambda x, d, s: s * d ** (2 / 3) / x ** (2 / 3)),
+        (f"s_{b} * D^(13/22) / x^(7/11)", (3 / 13, 8 / 31),
+         lambda x, d, s: s * d ** (13 / 22) / x ** (7 / 11)),
+    )
     points = list(zip(xs, ds))
-    counts: dict[tuple[int, int], int] = {}
-
-    def compute(point):
-        x, d_dyadic = point
-        _check_sb_budget(b, x, d_dyadic, budget)
-        return census.s_b(b, x, d_dyadic, strategy="both")
-
-    def in_any_window(x, d):
-        return any(x**lo <= d <= x**hi for lo, hi in _WINDOWS.values())
-
-    needed = [(x, d) for x, d in points if in_any_window(x, d)]
-    for point, count in zip(needed, map_in_order(compute, needed)):
-        counts[point] = count
+    needed = [(x, d) for x, d in points
+              if any(x**lo <= d <= x**hi for _, (lo, hi), _ in windows)]
+    counts = dict(zip(needed, _s_b_counts(b, needed, budget)))
 
     fits = []
-    for name, (wlo, whi), shape in (
-        ("mid", _WINDOWS["mid"], lambda x, d, s: s * d ** (2 / 3) / x ** (2 / 3)),
-        ("low", _WINDOWS["low"], lambda x, d, s: s * d ** (13 / 22) / x ** (7 / 11)),
-    ):
+    for label, (wlo, whi), shape in windows:
         grid, observed, notes = [], [], []
         for x, d_dyadic in points:
             if not x**wlo <= d_dyadic <= x**whi:
@@ -131,8 +118,6 @@ def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
                 continue
             grid.append((x, d_dyadic))
             observed.append(shape(x, d_dyadic, counts[(x, d_dyadic)]))
-        label = (f"s_{b} * D^(2/3) / x^(2/3)" if name == "mid"
-                 else f"s_{b} * D^(13/22) / x^(7/11)")
         fits.append(_make_fit(label, grid, observed, notes))
     return fits[0], fits[1]
 
@@ -163,26 +148,24 @@ def weyl_vdc_check(z: Mapping[int, complex], d_dyadic: int, q_max: int) -> WeylV
     The psi-weighted correlations need z on [D/2, 5D/2 + Q]; missing values
     are an error.
     """
-    d_cap = d_dyadic
-    q = q_max
-    if q < 1 or q * q > d_cap:
+    if q_max < 1 or q_max * q_max > d_dyadic:
         raise ValueError("need 1 <= Q <= sqrt(D)")
-    lo = math.floor(d_cap / 2)
-    hi = math.ceil(5 * d_cap / 2) + q
+    lo = math.floor(d_dyadic / 2)
+    hi = math.ceil(5 * d_dyadic / 2) + q_max
     missing = [d for d in range(lo, hi + 1) if d not in z]
     if missing:
         raise ValueError(
             f"sequence must cover [{lo}, {hi}]; missing {len(missing)} indices "
             f"starting at {missing[0]}"
         )
-    lhs = abs(sum(z[d] for d in range(d_cap, 2 * d_cap + 1)))
+    lhs = abs(sum(z[d] for d in range(d_dyadic, 2 * d_dyadic + 1)))
     corr_total = 0.0
-    support = [d for d in range(lo, hi + 1) if PSI(d / d_cap) > 0.0]
-    for shift in range(1, q + 1):
-        corr = sum(PSI(d / d_cap) * z[d] * z[d + shift].conjugate() for d in support)
+    support = [d for d in range(lo, hi + 1) if PSI(d / d_dyadic) > 0.0]
+    for shift in range(1, q_max + 1):
+        corr = sum(PSI(d / d_dyadic) * z[d] * z[d + shift].conjugate() for d in support)
         corr_total += abs(corr)
-    rhs = d_cap / math.sqrt(q) + math.sqrt(d_cap / q) * math.sqrt(corr_total)
-    return WeylVdcReport(d_dyadic=d_cap, q_max=q, lhs=lhs, rhs=rhs)
+    rhs = d_dyadic / math.sqrt(q_max) + math.sqrt(d_dyadic / q_max) * math.sqrt(corr_total)
+    return WeylVdcReport(d_dyadic=d_dyadic, q_max=q_max, lhs=lhs, rhs=rhs)
 
 
 def weyl_vdc_reports(d_dyadic: int, q_max: int, seed: int) -> list[tuple[str, WeylVdcReport]]:
@@ -228,8 +211,6 @@ def asymptotic_report(b: int, xs: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def _divisors_of_prime_power_product(b: int, n_max: int, cap: int) -> list[int]:
-    from . import arith
-
     divisors = [1]
     for p, alpha in arith.factorize(b**n_max).items():
         divisors = [d * p**e for d in divisors for e in range(alpha + 1) if d * p**e <= cap]

@@ -72,6 +72,8 @@ def _mirror_batches(b: int, segments, restricted: bool):
             batch = _mirror(b, n_digits, lo, min(lo + BATCH_HALVES, half_hi))
             if restricted:
                 batch = batch[np.gcd(batch, coprime_to) == 1]
+                if batch.dtype == object and len(batch) and batch[-1] < _INT64_LIMIT:
+                    batch = batch.astype(np.int64)  # every value >= 2**63 was dropped
             if len(batch):
                 yield batch
 

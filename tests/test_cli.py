@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from palindrome_lab import arith
-from palindrome_lab.cli import main
+from palindrome_lab.cli import build_parser, main
 
 
 def run_cli(argv, tmp_path, name="out.txt"):
@@ -71,6 +71,7 @@ def test_census_fault_injection(tmp_path, capsys, monkeypatch):
                  "--output", str(tmp_path / "x")])
     assert code == 1
     assert "mobius census identity failed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_census_json(tmp_path):
@@ -142,6 +143,43 @@ def test_csv_quoting_is_rfc4180(tmp_path):
     code, text = run_cli(["census", "--base", "2", "--max", "1000"], tmp_path)
     assert code == 0
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["census", "--base", "10"], 2),
+    (["k2", "--a1", "3", "--a2", "5", "--c", "1", "--check-identity"], 2),
+    (["enumerate", "--base", "10", "--max", "5", "--digits", "2"], 2),
+])
+def test_error_exits_create_no_output_file(argv, code, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main(argv + ["--output", str(path)]) == code
+    assert not path.exists()
+    assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--base", "10", "--max", "100"],
+    ["sbd", "--base", "10", "--max", "10000", "--d", "5"],
+    ["k2", "--a1", "2", "--a2", "3", "--c", "64", "--check-identity"],
+    ["discrepancy", "--base", "10", "--max", "10000", "--d-max", "3"],
+])
+def test_handlers_return_rows_and_write_nothing(argv, tmp_path):
+    # main is the one writer: a handler returns its rows and exit code and
+    # leaves --output alone
+    path = tmp_path / "out"
+    args = build_parser().parse_args(argv + ["--output", str(path)])
+    rows, code = args.handler(args)
+    assert code == 0
+    assert isinstance(rows, list) and rows
+    assert not path.exists()
+
+
+def test_enumerate_writes_its_own_stream(tmp_path):
+    path = tmp_path / "out"
+    args = build_parser().parse_args(["enumerate", "--base", "10", "--max", "100",
+                                      "--restricted", "--output", str(path)])
+    assert args.handler(args) == (None, 0)
+    assert path.read_text() == "1\n7\n"
 
 
 # Golden reports: every byte of each subcommand's CSV and JSON output, and its

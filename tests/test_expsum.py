@@ -151,6 +151,34 @@ def test_count_critical_points():
         assert count <= 3
 
 
+def _naive_critical_count(a1, a2, a3, q, c):
+    # the definition, inverses taken mod c1; c1 = 1 is the single empty class
+    c1, _ = stationary_split(c)
+    if c1 == 1:
+        return 1
+    count = 0
+    for w in range(1, c1 + 1):
+        if gcd(w, c) != 1 or gcd(w + q, c) != 1:
+            continue
+        wi = pow(w % c1, -1, c1)
+        yi = pow((w + q) % c1, -1, c1)
+        count += (a1 - 2 * a2 * wi**3 - 2 * a3 * yi**3) % c1 == 0
+    return count
+
+
+def test_count_critical_points_matches_plain_loop():
+    rng = random.Random(31)
+    prime_powers = [p**e for p in (2, 3, 5, 7, 11, 13, 31, 97) for e in range(2, 14)
+                    if p**e <= 10**4]
+    for c in [*range(2, 301), *prime_powers]:
+        for _ in range(3):
+            a1, a2, a3 = (rng.randrange(-c, c) for _ in range(3))
+            q = rng.randrange(-c, 1)  # q <= 0: w + q is often negative
+            expected = _naive_critical_count(a1, a2, a3, q, c)
+            assert count_critical_points(ExpSumParams(a1, a2, a3, q, c)) == expected, \
+                (a1, a2, a3, q, c)
+
+
 def test_zero_k2_when_no_critical_points():
     # the identity forces K2 = 0 whenever no residue mod c2 is critical
     params = ExpSumParams(1, 1, 0, 0, 49)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from palindrome_lab import harness
+from palindrome_lab import census, harness
 from palindrome_lab.harness import (
     Budget,
     BudgetExceededError,
@@ -104,6 +104,36 @@ def test_fit_prop2_prop3_windows():
     # shape values for the points actually computed
     idx = mid.grid.index((10**6, 100))
     assert mid.observed[idx] == pytest.approx(1 * 100 ** (2 / 3) / 10**4)
+
+
+def test_fit_prop2_prop3_budget_guard():
+    with pytest.raises(BudgetExceededError):
+        fit_prop2_prop3(10, [10**6], [100], budget=Budget(max_probes=10))
+
+
+def _count_s_b_calls(monkeypatch):
+    calls = []
+    real = census.s_b
+
+    def counted(b, x, d_dyadic, strategy):
+        calls.append((x, d_dyadic))
+        return real(b, x, d_dyadic, strategy=strategy)
+
+    monkeypatch.setattr(census, "s_b", counted)
+    return calls
+
+
+def test_fits_count_s_b_once_per_fitted_point(monkeypatch):
+    calls = _count_s_b_calls(monkeypatch)
+    xs, ds = [10**4, 10**5], [40, 100]
+    fit_prop1(10, xs, ds)
+    assert calls == [(10**4, 40), (10**5, 100)]
+    calls.clear()
+    # D = 100 and 30 are each in one window, 33 in both, 500 in neither
+    mid, low = fit_prop2_prop3(10, [10**6] * 4, [100, 30, 500, 33])
+    assert calls == [(10**6, 100), (10**6, 30), (10**6, 33)]
+    assert (10**6, 33) in mid.grid and (10**6, 33) in low.grid
+    assert set(mid.grid + low.grid) == set(calls)
 
 
 def test_asymptotic_report_rows():

@@ -1,4 +1,5 @@
-"""Smoke runs of the experiment scripts on tiny grids."""
+"""The experiment scripts: smoke runs on tiny grids, and every byte of their
+stdout at the default grids."""
 
 import runpy
 import sys
@@ -29,3 +30,18 @@ def test_script_runs(script, argv, header, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+# Golden outputs at the default grids. Regenerate a file only when a script's
+# output is meant to change.
+GOLDEN = Path(__file__).parent / "golden" / "scripts"
+
+
+@pytest.mark.parametrize("name", ["convergence_tables", "bound_fits", "kloosterman_grid"])
+def test_script_default_grid_matches_golden(name, monkeypatch, capsys):
+    path = SCRIPTS / f"{name}.py"
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.csv").read_bytes()

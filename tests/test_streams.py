@@ -212,6 +212,28 @@ def test_batches_across_int64_limit(b, restricted, offset, count):
         assert (batch.dtype == np.int64) == (max(batch.tolist()) < 2**63)
 
 
+def test_restricted_batches_below_int64_limit_are_int64():
+    # runs of 1..4 half-prefixes ending at or just past the first one whose
+    # palindrome is >= 2**63: when the restricted filter drops every value
+    # >= 2**63, what is left must be an int64 batch, e.g. b = 10, offset -1,
+    # count 2
+    for b in range(2, 65):
+        n_digits, h_cross = _crossing_half(b)
+        m = (n_digits + 1) // 2
+        for offset in range(-3, 1):
+            for count in range(1, 5):
+                lo = max(h_cross + offset, b ** (m - 1))
+                hi = min(lo + count, b**m)
+                segment = [(n_digits, lo, hi)]
+                expected = [n for n in (palindrome_from_half(h, b, n_digits)
+                                        for h in range(lo, hi))
+                            if gcd(n, b**3 - b) == 1]
+                batches = list(_mirror_batches(b, segment, True))
+                assert _flatten(batches) == expected
+                for batch in batches:
+                    assert (batch.dtype == np.int64) == (batch[-1] < 2**63), (b, offset, count)
+
+
 @pytest.mark.parametrize("b", (2, 3, 10, 64))
 def test_streams_yield_python_ints_across_int64_limit(b):
     # 50 half-prefixes on each side of 2**63 in its digit length N, and the
