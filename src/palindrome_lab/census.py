@@ -6,10 +6,11 @@ restricted palindromes <= x equals
     sum over d <= sqrt(x), gcd(d, b^3-b) = 1 of mu(d) * N_d(x),
     N_d(x) = #{n palindromic, restricted, <= x, d^2 | n}.
 
-A checked census counts the left side and evaluates the right side in one
-pass over the palindromes, which come as numpy batches
-(streams.batches_up_to); the two must agree exactly. The left side is
-arith.squarefree_mask on each batch. The right side splits d at a crossover
+A checked census counts the left side and evaluates the right side, and the
+two must agree exactly, as must the two counts of the palindromes. The left
+side is arith.squarefree_grid on the digit-weight grids of the palindromes
+(streams.grids_up_to). The right side reads them as mirrored numpy batches
+(streams.batches_up_to), a generator of its own, and splits d at a crossover
 D, as the paper's argument does: each d <= D counts the multiples of d^2 in
 every batch, and each d > D walks the restricted multiples m*d^2 <= x and
 keeps the palindromes among them. D balances the two costs, about
@@ -31,7 +32,7 @@ import numpy as np
 from . import arith
 from .digits import is_palindrome  # noqa: F401  (perfbench's recorder wraps this name)
 from .parallel import map_in_order
-from .streams import batches_fixed_length, batches_up_to, count_up_to
+from .streams import batches_up_to, count_up_to, grids_fixed_length, grids_up_to
 
 ZETA2_INV = 6 / math.pi**2
 
@@ -69,39 +70,41 @@ def density_constant(b: int) -> tuple[float, Fraction]:
 
 
 def q_star_direct(b: int, x: int) -> int:
-    """#(square-free restricted palindromes <= x), by the batch square-free
-    test."""
+    """#(square-free restricted palindromes <= x), by the square-free kernel
+    on the palindrome grids."""
     return census_up_to(b, x, check_identity=False).squarefree
 
 
 def q_star_mobius(b: int, x: int) -> int:
     """Same census as q_star_direct, evaluated through the Mobius identity
     alone (see the module docstring). Must agree with q_star_direct exactly."""
-    d_split, squares, mu = _mobius_plan(b, x)
-    return (sum(_mobius_multiples(batch, squares, mu) for batch in batches_up_to(b, x, True))
-            + _mobius_walk(b, x, d_split))
+    return _mobius_census(b, x, _mobius_plan(b, x))[1]
 
 
-def _census(b: int, batches, restricted: bool, scope_kind: str, scope: int,
-            predicted: float, check_identity: bool) -> CensusRecord:
-    """Count palindrome batches in one pass: their total, their square-free
-    members and, with check_identity, the Mobius sum that must equal the
-    latter (scope is then the cutoff x)."""
-    if check_identity:
-        d_split, squares, mu = _mobius_plan(b, scope)
-    total = squarefree = via_mobius = 0
-    for batch in batches:
-        total += len(batch)
-        squarefree += int(np.count_nonzero(arith.squarefree_mask(batch)))
-        if check_identity:
-            via_mobius += _mobius_multiples(batch, squares, mu)
-    if check_identity:
-        via_mobius += _mobius_walk(b, scope, d_split)
-        if via_mobius != squarefree:
-            raise ArithmeticError(
-                f"mobius census identity failed at b={b}, x={scope}: "
-                f"direct={squarefree} mobius={via_mobius}"
-            )
+def _mobius_census(b: int, x: int, plan) -> tuple[int, int]:
+    """(#restricted palindromes <= x, the Mobius sum) from the mirrored
+    batches, for the plan of _mobius_plan."""
+    d_split, squares, mu = plan
+    mirrored = via_mobius = 0
+    for batch in batches_up_to(b, x, True):
+        mirrored += len(batch)
+        via_mobius += _mobius_multiples(batch, squares, mu)
+    return mirrored, via_mobius + _mobius_walk(b, x, d_split)
+
+
+def _census(b: int, grids, restricted: bool, scope_kind: str, scope: int,
+            predicted: float) -> CensusRecord:
+    """Count the palindromes of the grids and their square-free members."""
+    coprime_to = b**3 - b if restricted else 1
+    total = squarefree = 0
+    for high, low, keep in grids:
+        mask = arith.squarefree_grid(high, low, coprime_to)
+        if keep is None:
+            total += len(mask)
+        else:
+            mask &= keep
+            total += int(np.count_nonzero(keep))
+        squarefree += int(np.count_nonzero(mask))
     ratio = squarefree / total if total else 0.0
     return CensusRecord(
         base=b,
@@ -119,19 +122,34 @@ def _census(b: int, batches, restricted: bool, scope_kind: str, scope: int,
 def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) -> CensusRecord:
     """Restricted census at x with the predicted density and its error.
 
-    With check_identity the Mobius route is evaluated in the same pass and
-    must agree exactly, else ArithmeticError; it needs x < 2**63, else
-    OverflowError before the pass. threads is accepted for compatibility and
-    ignored: the census is serial.
+    With check_identity the Mobius route counts the palindromes and their
+    square-free members again, and both counts must agree exactly, else
+    ArithmeticError; it needs x < 2**63, else OverflowError before the
+    count. threads is accepted for compatibility and ignored: the census is
+    serial.
     """
-    return _census(b, batches_up_to(b, x, True), True, "up_to", x,
-                   density_constant(b)[0], check_identity)
+    if check_identity:
+        plan = _mobius_plan(b, x)
+    rec = _census(b, grids_up_to(b, x, True), True, "up_to", x, density_constant(b)[0])
+    if check_identity:
+        mirrored, via_mobius = _mobius_census(b, x, plan)
+        if mirrored != rec.total:
+            raise ArithmeticError(
+                f"palindrome counts disagree at b={b}, x={x}: "
+                f"grids={rec.total} batches={mirrored}"
+            )
+        if via_mobius != rec.squarefree:
+            raise ArithmeticError(
+                f"mobius census identity failed at b={b}, x={x}: "
+                f"direct={rec.squarefree} mobius={via_mobius}"
+            )
+    return rec
 
 
 def q_fixed_length(b: int, n_digits: int) -> CensusRecord:
     """Unrestricted fixed-length census against the 1/zeta(2) density."""
-    return _census(b, batches_fixed_length(b, n_digits, False), False, "fixed_length",
-                   n_digits, ZETA2_INV, False)
+    return _census(b, grids_fixed_length(b, n_digits, False), False, "fixed_length",
+                   n_digits, ZETA2_INV)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ byte-identical for identical configurations.
 Handlers compute and return (rows, exit_code); main alone writes the rows to
 --output or stdout, and an error exit (rows = None) writes nothing. enumerate
 writes its unbounded, headerless stream itself and returns (None, code).
+Input out of a computation's range (a ValueError) exits 2 with one
+"palindrome-lab: <message>" line on stderr and writes nothing.
 """
 
 from __future__ import annotations
@@ -228,7 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    rows, code = args.handler(args)
+    try:
+        rows, code = args.handler(args)
+    except ValueError as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
     if rows is not None:
         with _output(args) as out:
             emit(rows, args.format, out)

@@ -1,4 +1,5 @@
-"""Ordered palindrome generation by half-prefix mirroring.
+"""Ordered palindrome generation by half-prefix mirroring, and palindrome
+grids by digit weights.
 
 An N-digit base-b palindrome is determined by its leading ceil(N/2) digits,
 its half-prefix, and mirroring is increasing in the half-prefix. A palindrome
@@ -10,6 +11,18 @@ largest half-prefix whose mirror is <= x. Batches mirror the segments in
 order as numpy arrays of at most BATCH_HALVES half-prefixes each (int64
 below 2**63, Python ints in an object array above); streams yield the
 values of the batches one by one as Python ints; counts sum their lengths.
+
+Grids reach the same values without mirroring. A palindrome is linear in the
+digits h_j of its half-prefix, n = sum_j h_j * W_j with W_j = b**(N-1-j) +
+b**j (j = 0 the leading digit; an odd length's middle digit has the single
+term b**j). Splitting h = high * b**k + low, with k about half of the
+ceil(N/2) digits, makes n = A[high] + B[low], so a segment is a few blocks
+of rows A and columns B whose sums are its palindromes, row by row in
+increasing order.
+
+A restricted set keeps the palindromes coprime to b**3 - b. Its even-length
+segments are empty, since b + 1 divides every even-length palindrome, so
+batches and grids skip them.
 """
 
 from __future__ import annotations
@@ -21,11 +34,14 @@ from .digits import _check_base
 # Streams refuse to range beyond 128-bit values.
 STREAM_VALUE_LIMIT = 1 << 127
 
-# Half-prefixes mirrored per batch, which bounds a batch's memory: at 2**16,
-# with 2**18 pairs per squarefree_mask block, a census-scan pass peaked
-# 2.8 MB above the scalar census; at 2**14 and 2**16 it is within 1 MB and
-# no slower.
+# Half-prefixes mirrored per batch, which bounds a batch's memory. Batches
+# feed streams and the Mobius side of a checked census, whose 2-D residue
+# blocks they size; the square-free count reads grids.
 BATCH_HALVES = 1 << 14
+
+# Values (rows times columns) per grid block, which bounds the memory of the
+# square-free kernel on one block to a few arrays of this length.
+GRID_VALUES = 1 << 20
 
 _INT64_LIMIT = 1 << 63
 
@@ -68,6 +84,8 @@ def _mirror_batches(b: int, segments, restricted: bool):
     # half-prefixes; empty batches are skipped
     coprime_to = b**3 - b
     for n_digits, half_lo, half_hi in segments:
+        if restricted and n_digits % 2 == 0:
+            continue  # b + 1 divides every even-length palindrome
         for lo in range(half_lo, half_hi, BATCH_HALVES):
             batch = _mirror(b, n_digits, lo, min(lo + BATCH_HALVES, half_hi))
             if restricted:
@@ -76,6 +94,83 @@ def _mirror_batches(b: int, segments, restricted: bool):
                     batch = batch.astype(np.int64)  # every value >= 2**63 was dropped
             if len(batch):
                 yield batch
+
+
+def _digit_weights(b: int, n_digits: int) -> list[int]:
+    """W_j for each half-prefix digit j, j = 0 the leading one."""
+    return [b ** (n_digits - 1 - j) + b**j if 2 * j != n_digits - 1 else b**j
+            for j in range((n_digits + 1) // 2)]
+
+
+def _weighted_digits(numbers: np.ndarray, b: int, weights: list[int]) -> np.ndarray:
+    """For each number, its len(weights) base-b digits (leading zeros
+    included) times weights, the most significant digit times weights[0],
+    summed."""
+    out = np.zeros_like(numbers)
+    rest = numbers.copy()
+    for w in reversed(weights):
+        out += rest % b * w
+        rest //= b
+    return out
+
+
+def _grid_pieces(half_lo: int, half_hi: int, width: int):
+    """[half_lo, half_hi) as rectangles (row_lo, row_hi, col_lo, col_hi) of
+    the h = row * width + col: the full rows, and a partial row at either end."""
+    full_lo, full_hi = -(-half_lo // width), half_hi // width
+    if full_lo > full_hi:  # inside one row
+        row = half_lo // width
+        return [(row, row + 1, half_lo - row * width, half_hi - row * width)]
+    pieces = []
+    if half_lo < full_lo * width:
+        pieces.append((full_lo - 1, full_lo, half_lo - (full_lo - 1) * width, width))
+    if full_lo < full_hi:
+        pieces.append((full_lo, full_hi, 0, width))
+    if full_hi * width < half_hi:
+        pieces.append((full_hi, full_hi + 1, 0, half_hi - full_hi * width))
+    return pieces
+
+
+def _grid_blocks(b: int, segments, restricted: bool):
+    """The segments as blocks (high, low, keep) whose values high[i] + low[j],
+    taken row by row, are their palindromes in increasing order; a block has
+    at most GRID_VALUES of them (or one row). high and low are int64 when the
+    segment's largest value is below 2**63, else object arrays of Python ints.
+
+    keep is None for an unrestricted set. A restricted one keeps only the
+    rows whose leading digit is coprime to b (n = that digit mod b), and keep
+    flags the values of the block coprime to b**2 - 1.
+    """
+    m_mod = b * b - 1
+    coprime_residue = np.gcd(np.arange(m_mod), m_mod) == 1
+    for n_digits, half_lo, half_hi in segments:
+        if half_lo >= half_hi or (restricted and n_digits % 2 == 0):
+            continue  # b + 1 divides every even-length palindrome
+        m = (n_digits + 1) // 2
+        # low takes the last k digits: half of them, but no more columns
+        # than a block of GRID_VALUES has rows, so that no block repeats
+        # more column residues than it has row residues
+        k = m // 2
+        while b ** (2 * k) > GRID_VALUES:
+            k -= 1
+        weights = _digit_weights(b, n_digits)
+        wide = palindrome_from_half(half_hi - 1, b, n_digits) >= _INT64_LIMIT
+        dtype = object if wide else np.int64
+        lows = _weighted_digits(np.arange(b**k, dtype=dtype), b, weights[m - k :])
+        for row_lo, row_hi, col_lo, col_hi in _grid_pieces(half_lo, half_hi, b**k):
+            rows = np.arange(row_lo, row_hi, dtype=dtype)
+            if restricted:
+                rows = rows[np.gcd(rows // b ** (m - k - 1), b) == 1]
+            low = lows[col_lo:col_hi]
+            step = max(1, GRID_VALUES // len(low))
+            for start in range(0, len(rows), step):
+                high = _weighted_digits(rows[start : start + step], b, weights[: m - k])
+                keep = None
+                if restricted:
+                    residues = ((high % m_mod).astype(np.int64)[:, None]
+                                + (low % m_mod).astype(np.int64)[None, :])
+                    keep = coprime_residue[residues.ravel() % m_mod]
+                yield high, low, keep
 
 
 class PalindromeStream:
@@ -140,18 +235,25 @@ def stream_up_to(b: int, x: int, restricted: bool = False) -> PalindromeStream:
     return PalindromeStream(b, _segments_up_to(b, x), restricted)
 
 
-def batches_fixed_length(b: int, n_digits: int, restricted: bool):
-    """stream_fixed_length as increasing numpy arrays: int64 below 2**63,
-    dtype object above."""
-    return _mirror_batches(b, [_fixed_length_segment(b, n_digits)], restricted)
-
-
 def batches_up_to(b: int, x: int, restricted: bool):
     """stream_up_to as increasing numpy arrays: int64 below 2**63, dtype
     object above."""
     if x < 1:
         raise ValueError("x must be >= 1")
     return _mirror_batches(b, _segments_up_to(b, x), restricted)
+
+
+def grids_fixed_length(b: int, n_digits: int, restricted: bool):
+    """The palindromes of stream_fixed_length as grid blocks (see
+    _grid_blocks)."""
+    return _grid_blocks(b, [_fixed_length_segment(b, n_digits)], restricted)
+
+
+def grids_up_to(b: int, x: int, restricted: bool):
+    """The palindromes of stream_up_to as grid blocks (see _grid_blocks)."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    return _grid_blocks(b, _segments_up_to(b, x), restricted)
 
 
 def count_up_to(b: int, x: int) -> int:

@@ -35,17 +35,18 @@ def test_criterion_1_fails_on_broken_mobius_route(monkeypatch):
     assert "b=10,x=100000:mobius census identity failed" in result.detail
 
 
-def test_criterion_1_fails_on_squarefree_mask_fault(monkeypatch):
-    # a batch mask blind to 121 = 11^2, a restricted base-3 palindrome,
-    # reaches only the direct count; the Mobius route does not call it
-    real = arith.squarefree_mask
+def test_criterion_1_fails_on_squarefree_kernel_fault(monkeypatch):
+    # a square-free kernel blind to 121 = 11^2, a restricted base-3
+    # palindrome, reaches only the direct count; the Mobius route does not
+    # call it
+    real = arith.squarefree_grid
 
-    def blind_to_121(values):
-        mask = real(values)
-        mask[values % 121 == 0] = True
+    def blind_to_121(high, low, coprime_to=1):
+        mask = real(high, low, coprime_to)
+        mask[(high[:, None] + low[None, :]).ravel() % 121 == 0] = True
         return mask
 
-    monkeypatch.setattr(arith, "squarefree_mask", blind_to_121)
+    monkeypatch.setattr(arith, "squarefree_grid", blind_to_121)
     result = acceptance.criterion_mobius_identity(quick=True)
     assert result.passed is False
     assert "b=3,x=1000:mobius census identity failed" in result.detail
@@ -81,16 +82,11 @@ def test_criterion_3_unrestricted_density():
 
 
 def test_criterion_3_fails_on_kernel_blind_to_nine(monkeypatch):
-    # a square-free test that never sees the prime 3 counts multiples of 9
-    real = arith.squarefree_mask
-
-    def blind_to_three(values):
-        values = values.copy()
-        while (threes := values % 3 == 0).any():
-            values[threes] //= 3
-        return real(values)
-
-    monkeypatch.setattr(arith, "squarefree_mask", blind_to_three)
+    # a square-free kernel that never tries the prime 3 counts most
+    # multiples of 9
+    real = arith.squarefree_grid
+    monkeypatch.setattr(arith, "squarefree_grid",
+                        lambda high, low, coprime_to=1: real(high, low, 3 * coprime_to))
     assert not acceptance.criterion_unrestricted_density(quick=True).passed
 
 

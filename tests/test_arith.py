@@ -16,8 +16,10 @@ from palindrome_lab.arith import (
     is_squarefree,
     kth_residue_solutions,
     mobius,
+    squarefree_grid,
     squarefree_mask,
 )
+from palindrome_lab.streams import _grid_blocks, _segments_up_to
 
 
 def naive_mobius_sieve(limit):
@@ -245,6 +247,71 @@ def test_squarefree_mask_exhaustive_and_wide():
     assert squarefree_mask(np.zeros(0, dtype=np.int64)).tolist() == []
     with pytest.raises(ValueError):
         squarefree_mask(np.array([5, 0], dtype=np.int64))
+
+
+def _kernel_against_mask(b, segment, restricted):
+    for high, low, keep in _grid_blocks(b, [segment], restricted):
+        values = (high[:, None] + low[None, :]).ravel()
+        mask = squarefree_grid(high, low, b**3 - b if restricted else 1)
+        expected = squarefree_mask(values)
+        if keep is not None:
+            mask, expected = mask[keep], expected[keep]
+        assert mask.tolist() == expected.tolist(), (b, segment, restricted)
+
+
+def _segment_window(b, n_digits, at, size):
+    # the run of at most size half-prefixes of the N-digit segment that
+    # starts at the fraction `at` of it
+    m = (n_digits + 1) // 2
+    lo = b ** (m - 1) + int(at * (b**m - b ** (m - 1)))
+    return n_digits, lo, min(lo + size, b**m)
+
+
+# the search for every prime (P = 0), dense division only (P = inf), and the
+# crossover of the cost model
+GRID_COSTS = pytest.mark.parametrize("grid_cost", (0, 10**9, arith._GRID_COST),
+                                     ids=("all-search", "all-dense", "model"))
+
+
+@GRID_COSTS
+@given(st.integers(2, 64), st.integers(1, 41), st.floats(0, 1), st.integers(1, 1000),
+       st.booleans())
+def test_squarefree_grid_matches_mask_on_segments(grid_cost, b, n_digits, at, size,
+                                                  restricted):
+    # values below 2**41, so that the dense reference stays fast
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_GRID_COST", grid_cost)
+        while b**n_digits >= 2**41:
+            n_digits -= 1
+        _kernel_against_mask(b, _segment_window(b, n_digits, at, size), restricted)
+
+
+@GRID_COSTS
+def test_squarefree_grid_matches_mask_at_the_edges(monkeypatch, grid_cost):
+    monkeypatch.setattr(arith, "_GRID_COST", grid_cost)
+    for restricted in (False, True):
+        # a long binary segment: 2**16 values in 256 x 256
+        _kernel_against_mask(2, (33, 2**16, 2**17), restricted)
+        for b in (2, 3, 10, 64):
+            # the top of the longest digit length below 2**63, and of the
+            # partial segment cut at 2**63 - 1 (that value itself in base 2)
+            n_digits = 1
+            while b ** (n_digits + 1) < 2**63:
+                n_digits += 1
+            _kernel_against_mask(b, _segment_window(b, n_digits, 1 - 1e-9, 40), restricted)
+            cut = _segments_up_to(b, 2**63 - 1)[-1]
+            _kernel_against_mask(b, (cut[0], max(cut[1], cut[2] - 40), cut[2]), restricted)
+        # a run across 2**63: the values of 2**63 and above go value by value
+        h_cross = 2**63 // 10**9 + 1
+        _kernel_against_mask(10, (19, h_cross - 20, h_cross + 20), restricted)
+
+
+def test_grid_crossover():
+    # a tiny grid and a single row stay dense; a larger grid searches from a
+    # small prime on
+    assert arith._grid_crossover(4, 10) == float("inf")
+    assert arith._grid_crossover(1, 1000) == float("inf")
+    assert 4 < arith._grid_crossover(400, 1000) < 5
 
 
 def test_strip_small_primes_paths_agree():

@@ -204,8 +204,8 @@ def test_s_b_multiples_matches_stream(b, x, d_dyadic):
 
 # the Mobius route of a checked census: it must not read arith, so that a
 # fault there reaches only the direct count
-MOBIUS_ROUTE = ("q_star_mobius", "_primes", "_restricting_primes", "_squarefree_coprime",
-                "_mobius_plan", "_mobius_multiples", "_mobius_walk",
+MOBIUS_ROUTE = ("q_star_mobius", "_mobius_census", "_primes", "_restricting_primes",
+                "_squarefree_coprime", "_mobius_plan", "_mobius_multiples", "_mobius_walk",
                 "_restricted_multiples", "_palindrome_mask")
 
 
@@ -362,3 +362,24 @@ def test_census_up_to_streams_once(monkeypatch):
     rec = census_up_to(10, 10**4, check_identity=True)
     assert (rec.total, rec.squarefree) == (25, 24)
     assert len(opened) == 1
+
+
+def test_census_palindrome_counts_must_agree(monkeypatch):
+    # grids that lose their last block (the 5-digit palindromes <= 10**5)
+    # count fewer palindromes than the mirrored batches of the Mobius route
+    total = census_up_to(10, 10**5).total
+    real = census.grids_up_to
+    monkeypatch.setattr(census, "grids_up_to", lambda b, x, r: list(real(b, x, r))[:-1])
+    assert census_up_to(10, 10**5, check_identity=False).total < total
+    with pytest.raises(ArithmeticError, match="palindrome counts disagree"):
+        census_up_to(10, 10**5)
+
+
+def test_reports_do_not_call_the_dense_mask(monkeypatch):
+    # squarefree_mask is the tests' reference for the grid kernel only
+    def refused(values):
+        raise AssertionError("squarefree_mask on a report path")
+
+    monkeypatch.setattr(arith, "squarefree_mask", refused)
+    assert (census_up_to(10, 10**6).squarefree, q_star_direct(2, 10**4)) == (254, 77)
+    assert q_fixed_length(10, 5).total == 900

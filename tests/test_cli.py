@@ -64,9 +64,9 @@ def test_census_million_predicted(tmp_path):
 
 
 def test_census_fault_injection(tmp_path, capsys, monkeypatch):
-    # a square-free test that passes everything counts 343 = 7^3
-    monkeypatch.setattr(arith, "squarefree_mask",
-                        lambda values: np.ones(len(values), dtype=bool))
+    # a square-free kernel that passes everything counts 343 = 7^3
+    monkeypatch.setattr(arith, "squarefree_grid",
+                        lambda high, low, coprime_to=1: np.ones(len(high) * len(low), dtype=bool))
     code = main(["census", "--base", "10", "--max", "1000",
                  "--output", str(tmp_path / "x")])
     assert code == 1
@@ -155,6 +155,21 @@ def test_error_exits_create_no_output_file(argv, code, tmp_path, capsys):
     assert main(argv + ["--output", str(path)]) == code
     assert not path.exists()
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["k2", "--a1", "1", "--a2", "1", "--c", "3000000"],
+     "direct evaluation refused for c=3000000 > 2000000"),
+    (["census", "--base", "10", "--max", "0"], "x must be >= 1"),
+    (["sbd", "--base", "1", "--max", "100", "--d", "2"], "base must be in [2, 64], got 1"),
+])
+def test_out_of_range_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main(argv + ["--output", str(path)]) == 2
+    assert not path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"palindrome-lab: {message}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import numpy as np
@@ -5,14 +6,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from palindrome_lab import streams
 from palindrome_lab.digits import is_palindrome, to_digits
 from palindrome_lab.streams import (
     BATCH_HALVES,
+    GRID_VALUES,
     PalindromeStream,
+    _digit_weights,
+    _fixed_length_segment,
+    _grid_blocks,
+    _mirror,
     _mirror_batches,
-    batches_fixed_length,
+    _segments_up_to,
     batches_up_to,
     count_up_to,
+    grids_fixed_length,
+    grids_up_to,
     palindrome_from_half,
     stream_fixed_length,
     stream_up_to,
@@ -255,12 +264,109 @@ def test_batches_split_long_segments():
     # binary palindromes of 2m digits have 2**(m-1) half-prefixes: two
     # full batches when 2**(m-2) = BATCH_HALVES
     n_digits = 2 * (BATCH_HALVES.bit_length() + 1)
-    batches = list(batches_fixed_length(2, n_digits, False))
+    segment = _fixed_length_segment(2, n_digits)
+    batches = list(_mirror_batches(2, [segment], False))
     assert [len(batch) for batch in batches] == [BATCH_HALVES, BATCH_HALVES]
     assert _flatten(batches) == list(stream_fixed_length(2, n_digits))
-    restricted = list(batches_fixed_length(2, n_digits, True))
-    assert _flatten(restricted) == list(stream_fixed_length(2, n_digits, restricted=True))
+    # an odd length has restricted members; the split is the same
+    segment = _fixed_length_segment(2, n_digits - 1)
+    restricted = list(_mirror_batches(2, [segment], True))
+    assert len(restricted) == 2
+    assert _flatten(restricted) == list(stream_fixed_length(2, n_digits - 1, restricted=True))
     with pytest.raises(ValueError):
         batches_up_to(10, 0, False)
-    with pytest.raises(OverflowError):
-        batches_fixed_length(2, 128, False)
+
+
+def _grid_values(blocks, limit=GRID_VALUES):
+    """The values of grid blocks row by row, and those their keep masks keep."""
+    values, kept = [], []
+    for high, low, keep in blocks:
+        assert len(high) * len(low) <= max(limit, len(low))
+        block = (high[:, None] + low[None, :]).ravel()
+        values += block.tolist()
+        kept += (block if keep is None else block[keep]).tolist()
+    return values, kept
+
+
+def _int64_windows(b, rng, size=300):
+    """(n_digits, half_lo, half_hi) runs of at most size half-prefixes, for
+    every N with b**N < 2**63: the first and the last of the N-digit
+    segment, a random one, and the last before the cutoff h*(x) of a random
+    N-digit x."""
+    n_digits = 1
+    while b**n_digits < 2**63:
+        m = (n_digits + 1) // 2
+        first, end = b ** (m - 1), b**m
+        start = rng.randrange(first, end)
+        cut = _segments_up_to(b, rng.randrange(b ** (n_digits - 1), b**n_digits))[-1]
+        yield from ((n_digits, first, min(first + size, end)),
+                    (n_digits, max(first, end - size), end),
+                    (n_digits, start, min(start + rng.randrange(1, size), end)),
+                    (n_digits, max(cut[1], cut[2] - size), cut[2]))
+        n_digits += 1
+
+
+@pytest.mark.parametrize("b", range(2, 65))
+def test_grids_match_mirror_below_int64_limit(b):
+    # every digit length N with b**N < 2**63, both parities, the top of each
+    # segment (up to 2**63 - 1 in base 2) and the partial last segment of x
+    rng = random.Random(b)
+    for segment in _int64_windows(b, rng):
+        mirrored = _mirror(b, *segment)
+        values, kept = _grid_values(_grid_blocks(b, [segment], False))
+        assert values == kept == mirrored.tolist(), segment
+        _, kept = _grid_values(_grid_blocks(b, [segment], True))
+        assert kept == mirrored[np.gcd(mirrored, b**3 - b) == 1].tolist(), segment
+
+
+@given(st.integers(2, 64), st.booleans(), st.integers(-300, 300), st.integers(1, 400))
+def test_grids_across_int64_limit(b, restricted, offset, count):
+    # the object grid of a run whose values pass 2**63
+    n_digits, h_cross = _crossing_half(b)
+    m = (n_digits + 1) // 2
+    lo = min(max(h_cross + offset, b ** (m - 1)), b**m - 1)
+    segment = (n_digits, lo, min(lo + count, b**m))
+    expected = [palindrome_from_half(h, b, n_digits) for h in range(*segment[1:])]
+    if restricted:
+        expected = [n for n in expected if gcd(n, b**3 - b) == 1]
+    assert _grid_values(_grid_blocks(b, [segment], restricted))[1] == expected
+
+
+def test_grids_of_whole_sets(monkeypatch):
+    for b, x in ((10, 123454321), (2, 5 * 2**28), (3, 10**7), (64, 10**9)):
+        for restricted in (False, True):
+            values = [v for batch in batches_up_to(b, x, restricted) for v in batch.tolist()]
+            assert _grid_values(grids_up_to(b, x, restricted))[1] == values
+    # at 2**12 values per block a block has at most 2**6 columns, so the
+    # 2**15 half-prefixes of the 31-digit binary segment are 512 rows of 64,
+    # in blocks of 64 rows
+    monkeypatch.setattr(streams, "GRID_VALUES", 1 << 12)
+    blocks = list(grids_fixed_length(2, 31, False))
+    assert [len(high) for high, _, _ in blocks] == [64] * 8
+    assert [len(low) for _, low, _ in blocks] == [64] * 8
+    assert _grid_values(blocks, 1 << 12)[0] == _mirror(2, 31, 2**15, 2**16).tolist()
+    with pytest.raises(ValueError):
+        grids_up_to(10, 0, False)
+
+
+def test_digit_weights():
+    # W_j = b**(N-1-j) + b**j; the middle digit of an odd length counts once
+    assert _digit_weights(10, 5) == [10001, 1010, 100]
+    assert _digit_weights(10, 4) == [1001, 110]
+    assert _digit_weights(2, 1) == [1]
+
+
+def test_even_length_palindromes_are_multiples_of_b_plus_1():
+    # b = -1 (mod b + 1), so the two terms of each weight cancel when N is
+    # even: every weight, hence every palindrome, is a multiple of b + 1
+    rng = random.Random(1)
+    for b in range(2, 65):
+        for n_digits in range(2, 128, 2):
+            if b**n_digits > 2**127:
+                break
+            assert all(w % (b + 1) == 0 for w in _digit_weights(b, n_digits)), (b, n_digits)
+        for segment in _int64_windows(b, rng, size=50):
+            if segment[0] % 2 == 0:
+                assert not (_mirror(b, *segment) % (b + 1)).any()
+                assert not list(_mirror_batches(b, [segment], True))
+                assert not list(_grid_blocks(b, [segment], True))
