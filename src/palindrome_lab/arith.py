@@ -449,11 +449,13 @@ def squarefree_grid(high: np.ndarray, low: np.ndarray, coprime_to: int = 1) -> n
     An int64 grid is tested by the rule of squarefree_mask, with the primes
     below _grid_crossover divided into every value and those from it on
     found by the meet-in-the-middle search of _grid_hits. An object grid
-    (values of 2**63 and above) is tested value by value.
+    (values of 2**63 and above) is tested value by value, and only on the
+    values coprime to coprime_to; the others read False.
     """
     values = (high[:, None] + low[None, :]).ravel()
     if values.dtype != np.int64:
-        return np.array([is_squarefree(n) for n in values.tolist()], dtype=bool)
+        return np.array([gcd(n, coprime_to) == 1 and is_squarefree(n)
+                         for n in values.tolist()], dtype=bool)
     primes = _prime_table_to(_icbrt(int(values.max())))
     primes = primes[coprime_to % primes != 0]
     split = np.searchsorted(primes, _grid_crossover(len(high), len(low)))
@@ -511,14 +513,17 @@ def crt_combine(residues: list[tuple[int, int]]) -> tuple[int, int]:
 # k-th power residues (unit solutions of w**k = a mod q)
 # ---------------------------------------------------------------------------
 
-def _cube_roots_mod_p(a: int, p: int) -> list[int]:
-    """The cube roots of a unit a mod a prime p = 1 (mod 3), by
-    Adleman-Manders-Miller: a discrete logarithm in the 3-Sylow subgroup,
-    found one base-3 digit at a time, gives one root; the cube roots of
-    unity give the other two."""
+@lru_cache(maxsize=1 << 12)
+def _root_constants(k: int, p: int):
+    """What the roots of w**k = a mod a prime p need of (k, p) alone:
+    1/k mod p - 1 when gcd(k, p - 1) = 1; for k = 3 and p = 1 (mod 3) the
+    Adleman-Manders-Miller constants (t, s, z, zeta, z^-1, u, v) of
+    _cube_roots_mod_p; None otherwise."""
     n = p - 1
-    if pow(a, n // 3, p) != 1:
-        return []
+    if gcd(k, n) == 1:
+        return pow(k, -1, n)
+    if k != 3:
+        return None
     # p - 1 = 3**s * t with 3 not dividing t
     t, s = n, 0
     while t % 3 == 0:
@@ -530,17 +535,28 @@ def _cube_roots_mod_p(a: int, p: int) -> list[int]:
     # z generates the 3-Sylow subgroup (order 3**s), zeta has order 3
     z = pow(g, t, p)
     zeta = pow(z, 3 ** (s - 1), p)
-    z_inv = pow(z, -1, p)
+    # with u*t + 3*v = 1, a = (a**t)**u * (a**v)**3
+    u = pow(t, -1, 3)
+    v = (1 - u * t) // 3
+    return t, s, z, zeta, pow(z, -1, p), u, v
+
+
+def _cube_roots_mod_p(a: int, p: int) -> list[int]:
+    """The cube roots of a unit a mod a prime p = 1 (mod 3), by
+    Adleman-Manders-Miller: a discrete logarithm in the 3-Sylow subgroup,
+    found one base-3 digit at a time, gives one root; the cube roots of
+    unity give the other two."""
+    n = p - 1
+    if pow(a, n // 3, p) != 1:
+        return []
+    t, s, z, zeta, z_inv, u, v = _root_constants(3, p)
     # a**t = z**e; digit i of e is read off (a**t * z**-e_low)**(3**(s-1-i)),
     # which is zeta**digit
     b, e = pow(a, t, p), 0
     for i in range(s):
         c = pow(b * pow(z_inv, e, p) % p, 3 ** (s - 1 - i), p)
         e += (0 if c == 1 else 1 if c == zeta else 2) * 3**i
-    # a is a cube, so 3 divides e and (z**(e/3))**3 = a**t; with u*t + 3*v = 1,
-    # a = (a**t)**u * (a**v)**3
-    u = pow(t, -1, 3)
-    v = (1 - u * t) // 3
+    # a is a cube, so 3 divides e and (z**(e/3))**3 = a**t
     root = pow(z, e // 3 * u, p) * pow(a, v % n, p) % p
     return [root, root * zeta % p, root * zeta * zeta % p]
 
@@ -549,7 +565,7 @@ def _roots_mod_p(a: int, k: int, p: int) -> list[int]:
     """The roots of w**k = a mod a prime p, for a unit a."""
     if gcd(k, p - 1) == 1:
         # w -> w**k permutes the units; its inverse is w -> w**(1/k mod p-1)
-        return [pow(a, pow(k, -1, p - 1), p)]
+        return [pow(a, _root_constants(k, p), p)]
     if k == 3:
         return _cube_roots_mod_p(a, p)
     return [w for w in range(1, p) if pow(w, k, p) == a]

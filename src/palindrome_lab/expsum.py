@@ -136,22 +136,54 @@ def stationary_split(c: int) -> tuple[int, int]:
     return c1, c2
 
 
-def _critical_residues(params: ExpSumParams, c1: int, top: int, modulus: int):
-    # (w, w^-1, (w+q)^-1) for each 1 <= w <= top with gcd(w(w+q), c) = 1 and
-    # a1 - 2 a2 wbar^3 - 2 a3 (w+q)bar^3 = 0 (mod c1), inverses taken mod a
-    # modulus with c1 | modulus | c: the congruence reads only their residues
-    # mod c1, and an inverse mod c1 costs about half one mod c
-    c, a1, a2, a3, q = params.c, params.a1, params.a2, params.a3, params.q
-    for w in range(1, top + 1):
-        if gcd(w, c) != 1:
-            continue
-        wq = (w + q) % c
-        if gcd(wq, c) != 1:
-            continue
-        wi = pow(w, -1, modulus)
-        yi = pow(wq, -1, modulus)
-        if (a1 - 2 * a2 * wi**3 - 2 * a3 * yi**3) % c1 == 0:
-            yield w, wi, yi
+# _critical_residues walks w in int64 blocks of this many residues, which
+# bounds its temporaries whatever the size of c2
+_CRITICAL_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def _critical_plan(c: int) -> tuple[int, int, tuple[int, ...], np.ndarray]:
+    """(c1, c2, primes, cubes) for a modulus c >= 2: the stationary split,
+    the primes of c in increasing order, and the read-only table
+    cubes[w] = wbar^3 mod c1 for the units w mod c1 (0 elsewhere), written
+    out for 0 <= w < 2*c1 so that a shift by q mod c1 is a slice: O(c1) <=
+    O(sqrt(c)) entries."""
+    c1, c2 = stationary_split(c)
+    cubes = np.array([pow(w, -3, c1) if gcd(w, c1) == 1 else 0 for w in range(c1)],
+                     dtype=np.int64)
+    cubes = np.concatenate([cubes, cubes])
+    cubes.flags.writeable = False
+    return c1, c2, tuple(sorted(arith.factorize(c))), cubes
+
+
+def _critical_residues(params: ExpSumParams, top: int):
+    """The w in 1..top with gcd(w(w+q), c) = 1 and
+    a1 - 2 a2 wbar^3 - 2 a3 (w+q)bar^3 = 0 (mod c1), as increasing int64
+    arrays, one per block of _CRITICAL_BLOCK residues.
+
+    The congruence depends on w mod c1 only: it is tabulated once per call
+    from the plan's table, at O(c1) <= O(top) cost, and read at w mod c1;
+    its entries where w or w + q is not a unit mod c1 mean nothing, and the
+    unit test that follows drops those w. The unit test reads w mod each
+    prime p of c against 0 and -q mod p. The arguments are reduced mod p and
+    mod c1 first, so no int64 value reaches max(top + 1, 2*c1**2), whatever
+    their size.
+    """
+    c1, _, primes, cubes = _critical_plan(params.c)
+    # w + q = 0 (mod p) iff w = p - (q mod p), or w = 0 when p | q
+    shifted = [(p, p - params.q % p) for p in primes]
+    if c1 > 1:
+        q1 = params.q % c1
+        critical = ((2 * params.a2 % c1) * cubes[:c1]
+                    + (2 * params.a3 % c1) * cubes[q1 : q1 + c1]) % c1 == params.a1 % c1
+    for start in range(1, top + 1, _CRITICAL_BLOCK):
+        w = np.arange(start, min(start + _CRITICAL_BLOCK, top + 1), dtype=np.int64)
+        if c1 > 1:
+            w = w[critical[w % c1]]
+        for p, p_q in shifted:
+            r = w % p
+            w = w[(r != 0) & (r != p_q)]
+        yield w
 
 
 def k2_stationary_phase(params: ExpSumParams) -> complex:
@@ -160,24 +192,37 @@ def k2_stationary_phase(params: ExpSumParams) -> complex:
     Must agree with k2_full to rounding error; this is an identity, not a
     bound. The unit conditions are checked against c (they depend only on
     the residue mod rad(c), which divides c2, so this is well defined).
+
+    Cost: a numpy filter over w <= c2 (_critical_residues), then one scalar
+    term per critical point only: exact phases in Python ints, cmath.exp and
+    a running total in increasing w. Memory: the O(c1) plan of
+    _critical_plan plus one block of _CRITICAL_BLOCK residues. No table of
+    k2_full is read, so the two routes stay independent.
     """
-    c, a1, a2, a3 = params.c, params.a1, params.a2, params.a3
-    c1, c2 = stationary_split(c)  # raises ValueError for c < 2
+    c, a1, a2, a3, q = params.c, params.a1, params.a2, params.a3, params.q
+    c1, c2, _, _ = _critical_plan(c)  # raises ValueError for c < 2
     total = 0.0 + 0.0j
-    for w, wi, yi in _critical_residues(params, c1, c2, c):
-        phase = (a1 * w + a2 * wi * wi + a3 * yi * yi) % c
-        total += cmath.exp(TWO_PI * 1j * phase / c)
+    for block in _critical_residues(params, c2):
+        for w in block.tolist():
+            wi = pow(w, -1, c)
+            yi = pow((w + q) % c, -1, c)
+            phase = (a1 * w + a2 * wi * wi + a3 * yi * yi) % c
+            total += cmath.exp(TWO_PI * 1j * phase / c)
     return total * c1 / math.sqrt(c)
 
 
 def count_critical_points(params: ExpSumParams) -> int:
-    """Number of residues w mod c1 with gcd(w(w+q), c) = 1 solving the
+    """Number of residues 1 <= w <= c1 with gcd(w(w+q), c) = 1 solving the
     critical congruence a1 - 2 a2 wbar^3 - 2 a3 (w+q)bar^3 = 0 (mod c1),
-    inverses taken mod c1. For c1 = 1 this is the single (empty) class."""
-    c1, _ = stationary_split(params.c)  # raises ValueError for c < 2
+    inverses taken mod c1. For c1 = 1 this is the single (empty) class.
+
+    Cost: the numpy filter of _critical_residues over w <= c1; memory: the
+    O(c1) plan plus one block.
+    """
+    c1 = _critical_plan(params.c)[0]  # raises ValueError for c < 2
     if c1 == 1:
         return 1
-    return sum(1 for _ in _critical_residues(params, c1, c1, c1))
+    return sum(len(block) for block in _critical_residues(params, c1))
 
 
 def k2(params: ExpSumParams) -> complex:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from palindrome_lab import arith
+from palindrome_lab import arith, census
 from palindrome_lab.arith import (
     UnsupportedModulusError,
     crt_combine,
@@ -306,6 +306,23 @@ def test_squarefree_grid_matches_mask_at_the_edges(monkeypatch, grid_cost):
         _kernel_against_mask(10, (19, h_cross - 20, h_cross + 20), restricted)
 
 
+def test_object_grid_tests_only_coprime_values(monkeypatch):
+    # the restricted b = 10, 19-digit run of 4,000 half-prefixes across
+    # 2**63: an object grid gives the scalar test only the 2,424 values
+    # coprime to b**3 - b, the ones the blocks keep; the counts are those
+    # of testing every value
+    h_cross = 2**63 // 10**9 + 1
+    blocks = list(_grid_blocks(10, [(19, h_cross - 2000, h_cross + 2000)], True))
+    assert all(high.dtype == object for high, _, _ in blocks)
+    kept = [n for high, low, keep in blocks
+            for n in (high[:, None] + low[None, :]).ravel()[keep].tolist()]
+    calls = []
+    monkeypatch.setattr(arith, "is_squarefree", lambda n: calls.append(n) or is_squarefree(n))
+    record = census._census(10, blocks, True, "max", 2**63, 0.0)
+    assert calls == kept and len(kept) == 2424
+    assert (record.total, record.squarefree) == (2424, 2315)
+
+
 def test_grid_crossover():
     # a tiny grid and a single row stay dense; a larger grid searches from a
     # small prime on
@@ -455,6 +472,61 @@ def test_cube_roots_below_1e6_match_euler_criterion():
                 expected = 3 if pow(a, (p - 1) // 3, p) == 1 else 0
             assert len(roots) == expected, (a, p)
         assert kth_residue_solutions(0, 3, p) == []
+
+
+def _fresh_root_constants(k, p):
+    # the values _roots_mod_p and _cube_roots_mod_p used to compute on every
+    # call, written out step by step
+    n = p - 1
+    if gcd(k, n) == 1:
+        return pow(k, -1, n)
+    if k != 3:
+        return None
+    t, s = n, 0
+    while t % 3 == 0:
+        t //= 3
+        s += 1
+    g = next(g for g in range(2, p) if pow(g, n // 3, p) != 1)
+    z = pow(g, t, p)
+    zeta = pow(z, 3 ** (s - 1), p)
+    u = pow(t, -1, 3)
+    return t, s, z, zeta, pow(z, -1, p), u, (1 - u * t) // 3
+
+
+ROOT_EXPONENTS = (2, 3, 5)
+
+
+def test_root_constants_match_fresh_values():
+    arith._root_constants.cache_clear()
+    primes = arith.primes_up_to(5000)
+    for p in primes:
+        for k in ROOT_EXPONENTS:
+            assert arith._root_constants(k, p) == _fresh_root_constants(k, p), (k, p)
+    # a second pass is served from the cache, which is bounded
+    before = arith._root_constants.cache_info()
+    for p in primes:
+        for k in ROOT_EXPONENTS:
+            assert arith._root_constants(k, p) == _fresh_root_constants(k, p), (k, p)
+    after = arith._root_constants.cache_info()
+    assert after.hits - before.hits == len(primes) * len(ROOT_EXPONENTS)
+    assert after.currsize <= after.maxsize
+
+
+def test_kth_residue_solutions_on_primes_below_5000():
+    # against the k-th powers of every unit; the first residue of each
+    # (k, p) computes the cached constants, the others read them
+    arith._root_constants.cache_clear()
+    rng = random.Random(23)
+    for p in arith.primes_up_to(5000):
+        w = np.arange(1, p, dtype=np.int64)
+        for k in ROOT_EXPONENTS:
+            power = np.ones_like(w)
+            for _ in range(k):
+                power = power * w % p
+            residues = {1, p - 1, *(rng.randrange(p) for _ in range(3)),
+                        *(int(power[rng.randrange(p - 1)]) for _ in range(3))}
+            for a in sorted(residues):
+                assert kth_residue_solutions(a, k, p) == w[power == a].tolist(), (a, k, p)
 
 
 def test_cubic_bound_small():

@@ -205,6 +205,12 @@ GOLDEN_CASES = {
     "sbd": ["sbd", "--base", "10", "--max", "100000", "--d", "5"],
     "k2_c64": ["k2", "--a1", "2", "--a2", "3", "--c", "64", "--check-identity"],
     "k2_c1": ["k2", "--a1", "3", "--a2", "5", "--c", "1"],
+    # the kloosterman survey's hardest moduli: square-free c = 30030 (c1 = 1,
+    # q even so that w and w + q can both be units) and c = 5^3 * 7^3
+    "k2_c30030": ["k2", "--a1", "3", "--a2", "5", "--a3", "-5", "--q", "4",
+                  "--c", "30030", "--check-identity"],
+    "k2_c42875": ["k2", "--a1", "2", "--a2", "3", "--a3", "-3", "--q", "3",
+                  "--c", "42875", "--check-identity"],
     "poisson_triangle": ["poisson", "--demo", "triangle", "--q", "1"],
     "poisson_psi": ["poisson", "--demo", "psi", "--q", "2"],
     "oscillate": ["oscillate", "--count", "4"],

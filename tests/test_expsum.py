@@ -1,10 +1,12 @@
+import ast
 import cmath
 import math
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from palindrome_lab import expsum, oscillate
@@ -151,19 +153,38 @@ def test_count_critical_points():
         assert count <= 3
 
 
-def _naive_critical_count(a1, a2, a3, q, c):
-    # the definition, inverses taken mod c1; c1 = 1 is the single empty class
-    c1, _ = stationary_split(c)
+def _plain_critical_residues(params, c1, top, modulus):
+    # the scalar loop that found the critical residues before the numpy
+    # filter, kept as the reference: (w, w^-1, (w+q)^-1) for each w <= top,
+    # inverses taken mod modulus
+    c, a1, a2, a3, q = params.c, params.a1, params.a2, params.a3, params.q
+    for w in range(1, top + 1):
+        if gcd(w, c) != 1:
+            continue
+        wq = (w + q) % c
+        if gcd(wq, c) != 1:
+            continue
+        wi = pow(w, -1, modulus)
+        yi = pow(wq, -1, modulus)
+        if (a1 - 2 * a2 * wi**3 - 2 * a3 * yi**3) % c1 == 0:
+            yield w, wi, yi
+
+
+def _plain_stationary_phase(params):
+    c, a1, a2, a3 = params.c, params.a1, params.a2, params.a3
+    c1, c2 = stationary_split(c)
+    total = 0.0 + 0.0j
+    for w, wi, yi in _plain_critical_residues(params, c1, c2, c):
+        phase = (a1 * w + a2 * wi * wi + a3 * yi * yi) % c
+        total += cmath.exp(expsum.TWO_PI * 1j * phase / c)
+    return total * c1 / math.sqrt(c)
+
+
+def _plain_critical_count(params):
+    c1, _ = stationary_split(params.c)
     if c1 == 1:
         return 1
-    count = 0
-    for w in range(1, c1 + 1):
-        if gcd(w, c) != 1 or gcd(w + q, c) != 1:
-            continue
-        wi = pow(w % c1, -1, c1)
-        yi = pow((w + q) % c1, -1, c1)
-        count += (a1 - 2 * a2 * wi**3 - 2 * a3 * yi**3) % c1 == 0
-    return count
+    return sum(1 for _ in _plain_critical_residues(params, c1, c1, c1))
 
 
 def test_count_critical_points_matches_plain_loop():
@@ -174,9 +195,94 @@ def test_count_critical_points_matches_plain_loop():
         for _ in range(3):
             a1, a2, a3 = (rng.randrange(-c, c) for _ in range(3))
             q = rng.randrange(-c, 1)  # q <= 0: w + q is often negative
-            expected = _naive_critical_count(a1, a2, a3, q, c)
-            assert count_critical_points(ExpSumParams(a1, a2, a3, q, c)) == expected, \
-                (a1, a2, a3, q, c)
+            params = ExpSumParams(a1, a2, a3, q, c)
+            assert count_critical_points(params) == _plain_critical_count(params), params
+
+
+def _assert_filter_exact(params):
+    assert repr(k2_stationary_phase(params)) == repr(_plain_stationary_phase(params)), params
+    assert count_critical_points(params) == _plain_critical_count(params), params
+
+
+def test_stationary_phase_equals_plain_loop_to_2000():
+    rng = random.Random(2000)
+    for c in range(2, 2001):
+        a1, a2, a3 = (rng.randrange(-c, c) for _ in range(3))
+        # q is odd only for c = 2 (mod 3), so that most even c have critical
+        # points
+        q = 2 * rng.randrange(-c, c + 1) + c % 3 // 2
+        _assert_filter_exact(ExpSumParams(a1, a2, a3, q, c))
+
+
+_PRIMES_BELOW_1000 = tuple(p for p in range(2, 1000) if all(p % d for d in range(2, p)))
+
+
+@st.composite
+def _moduli(draw):
+    # a prime power or a composite up to 10**6; the reference walks every
+    # w <= c2, so c2 is kept at most 10**5
+    c = 1
+    primes = st.one_of(st.sampled_from(_PRIMES_BELOW_1000[:6]),
+                       st.sampled_from(_PRIMES_BELOW_1000))
+    for p in draw(st.lists(primes, min_size=1, max_size=4, unique=True)):
+        alpha = draw(st.integers(1, 12))
+        while alpha and c * p**alpha > 10**6:
+            alpha -= 1
+        c *= p**alpha
+    assume(c >= 2 and stationary_split(c)[1] <= 10**5)
+    return c
+
+
+@settings(max_examples=40)
+@given(_moduli(), st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70),
+       st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70))
+def test_stationary_phase_equals_plain_loop_on_drawn_moduli(c, a1, a2, a3, q):
+    _assert_filter_exact(ExpSumParams(a1, a2, a3, q, c))
+    # small arguments of both signs, and q even
+    _assert_filter_exact(ExpSumParams(a1 % 97 - 48, a2 % 89 - 44, a3 % 83 - 41,
+                                      2 * (q % 61) - 60, c))
+
+
+@pytest.mark.parametrize("c", (10**8, 65537**2))
+def test_stationary_phase_equals_plain_loop_beyond_2_32(c):
+    # c2 = 10**4 and 65537; c = 65537**2 is above 2**32
+    rng = random.Random(c)
+    for big in (False, True):
+        args = [rng.randrange(-c, c) for _ in range(4)]
+        if big:
+            args = [v + rng.choice((-1, 1)) * 2**64 * rng.randrange(1, 2**10) for v in args]
+        args[3] -= args[3] % 2  # q even
+        _assert_filter_exact(ExpSumParams(*args, c))
+
+
+def test_stationary_phase_negative_and_huge_arguments():
+    for c in (2 * 3 * 5 * 7 * 11 * 13, 5**3 * 7**3, 2**12, 3**9, 12**4):
+        for q in (-2, -c - 2, -(2**64) - 2, 2**64 + 4, -(2**80)):
+            for a in ((3, 5, -5), (-(2**64) - 1, 2**65 + 7, -(2**66)), (2**100, -3, 2**64)):
+                _assert_filter_exact(ExpSumParams(*a, q, c))
+
+
+# the stationary-phase route: it must not read k2_full or its tables, so
+# that comparing the two forms (criterion 4) compares two computations
+STATIONARY_ROUTE = ("stationary_split", "_critical_plan", "_critical_residues",
+                    "k2_stationary_phase", "count_critical_points")
+
+
+def test_stationary_route_reads_no_direct_tables(monkeypatch):
+    tree = ast.parse(Path(expsum.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in STATIONARY_ROUTE:
+        names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert not names & {"_k2_tables", "k2_full", "k2"}, name
+
+    def refuse(c):
+        raise AssertionError("the stationary route read _k2_tables")
+
+    monkeypatch.setattr(expsum, "_k2_tables", refuse)
+    expsum._critical_plan.cache_clear()
+    for c in (30030, 5**3 * 7**3, 2**14):
+        params = ExpSumParams(3, 5, -5, 4, c)
+        _assert_filter_exact(params)
 
 
 def test_zero_k2_when_no_critical_points():
