@@ -9,15 +9,15 @@ restricted palindromes <= x equals
 A checked census counts the left side and evaluates the right side, and the
 two must agree exactly, as must the two counts of the palindromes. The left
 side is arith.squarefree_grid on the digit-weight grids of the palindromes
-(streams.grids_up_to). The right side reads them as mirrored numpy batches
-(streams.batches_up_to), a generator of its own, and splits d at a crossover
-D, as the paper's argument does: each d <= D counts the multiples of d^2 in
-every batch, and each d > D walks the restricted multiples m*d^2 <= x and
-keeps the palindromes among them. D balances the two costs, about
-#palindromes * D residue tests against x / D walked multiples. mu comes
-from a sieve of this module and the palindromes of the walk from a digit
-test of its own, so the right side shares no code with arith's square-free
-test. The walk runs in int64, so a checked census needs x < 2**63.
+(streams.grids_up_to). The right side mirrors the palindromes itself in
+int64 batches, cut at x by value, and splits d at a crossover D, as the
+paper's argument does: each d <= D counts the multiples of d^2 in every
+batch, and each d > D walks the restricted multiples m*d^2 <= x and keeps
+the palindromes among them. D balances the two costs, about #palindromes *
+D residue tests against x / D walked multiples. mu comes from a sieve of
+this module and the palindromes of the walk from a digit test of its own,
+so the right side shares no code with arith's square-free test, nor the
+digit weights or the cut of the grids. It needs x < 2**63.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _mobius_census(b: int, x: int, plan) -> tuple[int, int]:
     batches, for the plan of _mobius_plan."""
     d_split, squares, mu = plan
     mirrored = via_mobius = 0
-    for batch in batches_up_to(b, x, True):
+    for batch in _mobius_palindromes(b, x):
         mirrored += len(batch)
         via_mobius += _mobius_multiples(batch, squares, mu)
     return mirrored, via_mobius + _mobius_walk(b, x, d_split)
@@ -158,12 +158,13 @@ def q_fixed_length(b: int, n_digits: int) -> CensusRecord:
 
 _INT64_LIMIT = 1 << 63
 
-# The (palindrome, d^2) pairs of one 2-D residue block, and the multiples
-# (and the d of one mu segment) of one walk block. A walk block keeps a few
-# arrays of its size alive at once, so it is the smaller. At these sizes
-# the peak memory of a census-scan pass is still set by the prime tables
-# of its wide square-free tests.
+# The (palindrome, d^2) pairs of one 2-D residue block, the half-prefixes
+# of one mirrored batch, and the multiples (and the d of one mu segment) of
+# one walk block. A walk block keeps a few arrays of its size alive at once,
+# so it is the smaller. At these sizes the peak memory of a census-scan pass
+# is still set by the prime tables of its wide square-free tests.
 _RESIDUE_BLOCK = 1 << 16
+_MIRROR_HALVES = 1 << 14
 _WALK_BLOCK = 1 << 14
 
 # The weight of one walked multiple against one residue test in the
@@ -220,11 +221,45 @@ def _mobius_plan(b: int, x: int) -> tuple[int, np.ndarray, np.ndarray]:
     walked multiples the d > D (both times the same density of eligible d),
     so D = sqrt(_WALK_COST * x / #palindromes) balances them.
     """
+    if x < 1:
+        raise ValueError("x must be >= 1")
     if x >= _INT64_LIMIT:
         raise OverflowError(f"the Mobius route needs x < 2**63, got {x}")
     d_split = min(isqrt(_WALK_COST * x // max(count_up_to(b, x), 1)), isqrt(x))
     d, mu = _squarefree_coprime(b, 1, d_split + 1)
     return d_split, d * d, mu
+
+
+def _mobius_palindromes(b: int, x: int):
+    """The restricted palindromes <= x (x < 2**63) in increasing int64
+    batches of at most _MIRROR_HALVES half-prefixes each."""
+    # odd lengths (b + 1 divides every even-length one) of at most 63 digits
+    for n_digits in range(1, _INT64_LIMIT.bit_length(), 2):
+        if b ** (n_digits - 1) > x:
+            return
+        m = (n_digits + 1) // 2
+        # a half-prefix h mirrors to at least h * b**(N - m)
+        top = min(b**m, x // b ** (n_digits - m) + 1)
+        for lo in range(b ** (m - 1), top, _MIRROR_HALVES):
+            batch = _mirror_up_to(b, n_digits, lo, min(lo + _MIRROR_HALVES, top), x)
+            if len(batch):
+                yield batch
+
+
+def _mirror_up_to(b: int, n_digits: int, half_lo: int, half_hi: int, x: int) -> np.ndarray:
+    """The N-digit palindromes <= x coprime to b^3 - b mirrored from the h in
+    [half_lo, half_hi), each with h * b**(N - m) <= x, as int64."""
+    m = (n_digits + 1) // 2
+    tail = n_digits - m
+    h = np.arange(half_lo, half_hi, dtype=np.int64)
+    high = h * b**tail
+    low = np.zeros_like(h)  # the reversal of h without its middle digit
+    for j in range(m - tail, m):
+        low = low * b + h // b**j % b
+    # high + low may pass 2**63 near x = 2**63, where int64 wraps silently;
+    # it is then above x, and low <= x - high drops it without reading it
+    n = high + low
+    return n[(low <= x - high) & (np.gcd(n, b**3 - b) == 1)]
 
 
 def _mobius_multiples(batch: np.ndarray, squares: np.ndarray, mu: np.ndarray) -> int:

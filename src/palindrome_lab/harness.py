@@ -24,14 +24,14 @@ DEFAULT_SEED = 1729
 CRITICAL_POINT_C_CAP = 10**4  # largest modulus fit_critical_point_bound visits
 
 
+# A campaign refuses a census point with more palindromes, or an s_b point
+# with more probes (s_b_costs), than these.
+MAX_PALINDROMES = 10**9
+MAX_PROBES = 10**8
+
+
 class BudgetExceededError(RuntimeError):
     """A campaign would exceed its enumeration budget."""
-
-
-@dataclass(frozen=True)
-class Budget:
-    max_palindromes: int = 10**9
-    max_probes: int = 10**8
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,31 @@ def _make_fit(label, grid, observed, notes=()):
 # square-divisor count fits
 # ---------------------------------------------------------------------------
 
-def _s_b_counts(b, points, budget):
+def _s_b_counts(b, points):
     # S_b(x, D) per (x, D) point by strategy="both", which pays for both
     # strategies; the budget is checked right before each point is counted
     def count(point):
         x, d_dyadic = point
-        if sum(census.s_b_costs(b, x, d_dyadic)) > budget.max_probes:
+        if sum(census.s_b_costs(b, x, d_dyadic)) > MAX_PROBES:
             raise BudgetExceededError(f"s_b probe budget exceeded at x={x}, D={d_dyadic}")
         return census.s_b(b, x, d_dyadic, strategy="both")
 
     return map_in_order(count, points)
 
 
-def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int],
-              budget: Budget = Budget()) -> BoundFit:
+def fit_prop1(b: int, xs: Sequence[int], ds: Sequence[int]) -> BoundFit:
     """Fit the constant in the elementary bound  s_b(x, D) <= C * x / D^(3/2).
 
     xs and ds are paired pointwise. Both counting strategies are run on every
     grid point and must agree exactly.
     """
     grid = list(zip(xs, ds))
-    counts = _s_b_counts(b, grid, budget)
+    counts = _s_b_counts(b, grid)
     observed = [s * d_dyadic**1.5 / x for (x, d_dyadic), s in zip(grid, counts)]
     return _make_fit(f"s_{b} * D^(3/2) / x", grid, observed)
 
 
-def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
-                    budget: Budget = Budget()) -> tuple[BoundFit, BoundFit]:
+def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int]) -> tuple[BoundFit, BoundFit]:
     """Fit the two exponential-sum-driven shapes on their stated windows:
 
         s_b * D^(2/3)  / x^(2/3)    for x^(1/4)  <= D <= x^(2/5)
@@ -106,7 +104,7 @@ def fit_prop2_prop3(b: int, xs: Sequence[int], ds: Sequence[int],
     points = list(zip(xs, ds))
     needed = [(x, d) for x, d in points
               if any(x**lo <= d <= x**hi for _, (lo, hi), _ in windows)]
-    counts = dict(zip(needed, _s_b_counts(b, needed, budget)))
+    counts = dict(zip(needed, _s_b_counts(b, needed)))
 
     fits = []
     for label, (wlo, whi), shape in windows:
@@ -189,15 +187,13 @@ def weyl_vdc_reports(d_dyadic: int, q_max: int, seed: int) -> list[tuple[str, We
 # census convergence tables
 # ---------------------------------------------------------------------------
 
-def asymptotic_report(b: int, xs: Sequence[int],
-                      budget: Budget = Budget()) -> list[census.CensusRecord]:
+def asymptotic_report(b: int, xs: Sequence[int]) -> list[census.CensusRecord]:
     """Census rows for each x (restricted, against the Euler-product density)
     and for each digit length reachable below max(xs) (unrestricted, against
     1/zeta(2))."""
     xs = sorted(xs)
-    for x in xs:
-        if count_up_to(b, x) > budget.max_palindromes:
-            raise BudgetExceededError(f"palindrome budget exceeded at x={x}")
+    if count_up_to(b, xs[-1]) > MAX_PALINDROMES:  # the count grows with x
+        raise BudgetExceededError(f"palindrome budget exceeded at x={xs[-1]}")
     records = [census.census_up_to(b, x) for x in xs]
     n_digits = 1
     while b**n_digits <= xs[-1]:

@@ -1,5 +1,4 @@
-"""Ordered palindrome generation by half-prefix mirroring, and palindrome
-grids by digit weights.
+"""Ordered palindrome generation by digit-weight grids.
 
 An N-digit base-b palindrome is determined by its leading ceil(N/2) digits,
 its half-prefix, and mirroring is increasing in the half-prefix. A palindrome
@@ -7,25 +6,26 @@ set is therefore a list of segments (n_digits, half_lo, half_hi), one per
 digit length in increasing order, each standing for the palindromes mirrored
 from the half-prefixes in [half_lo, half_hi). A cutoff x is applied once, when
 the segments are built: the last one ends at h*(x) + 1, where h*(x) is the
-largest half-prefix whose mirror is <= x. Batches mirror the segments in
-order as numpy arrays of at most BATCH_HALVES half-prefixes each (int64
-below 2**63, Python ints in an object array above); streams yield the
-values of the batches one by one as Python ints; counts sum their lengths.
+largest half-prefix whose mirror is <= x.
 
-Grids reach the same values without mirroring. A palindrome is linear in the
-digits h_j of its half-prefix, n = sum_j h_j * W_j with W_j = b**(N-1-j) +
-b**j (j = 0 the leading digit; an odd length's middle digit has the single
-term b**j). Splitting h = high * b**k + low, with k about half of the
-ceil(N/2) digits, makes n = A[high] + B[low], so a segment is a few blocks
-of rows A and columns B whose sums are its palindromes, row by row in
-increasing order.
+Grids reach the values of the segments without mirroring. A palindrome is
+linear in the digits h_j of its half-prefix, n = sum_j h_j * W_j with W_j =
+b**(N-1-j) + b**j (j = 0 the leading digit; an odd length's middle digit has
+the single term b**j). Splitting h = high * b**k + low, with k about half of
+the ceil(N/2) digits, makes n = A[high] + B[low], so a segment is a few
+blocks of rows A and columns B whose sums are its palindromes, row by row in
+increasing order. This is the module's one generator: batches flatten the
+blocks, streams yield their values one by one as Python ints, and counts sum
+the segment lengths. (A checked census mirrors its Mobius side's own.)
 
 A restricted set keeps the palindromes coprime to b**3 - b. Its even-length
 segments are empty, since b + 1 divides every even-length palindrome, so
-batches and grids skip them.
+grids skip them.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -34,14 +34,12 @@ from .digits import _check_base
 # Streams refuse to range beyond 128-bit values.
 STREAM_VALUE_LIMIT = 1 << 127
 
-# Half-prefixes mirrored per batch, which bounds a batch's memory. Batches
-# feed streams and the Mobius side of a checked census, whose 2-D residue
-# blocks they size; the square-free count reads grids.
-BATCH_HALVES = 1 << 14
-
-# Values (rows times columns) per grid block, which bounds the memory of the
-# square-free kernel on one block to a few arrays of this length.
+# Values (rows times columns) per grid block and batch, which bounds the
+# memory of the square-free kernel on one block to a few arrays of this length.
 GRID_VALUES = 1 << 20
+
+# Values a stream turns into a list of Python ints at a time.
+_STREAM_SLICE = 1 << 14
 
 _INT64_LIMIT = 1 << 63
 
@@ -60,40 +58,6 @@ def palindrome_from_half(h: int, b: int, n_digits: int) -> int:
     if n_digits % 2 == 0:
         return h * b**m + _reverse_fixed_width(h, b, m)
     return h * b ** (m - 1) + _reverse_fixed_width(h // b, b, m - 1)
-
-
-def _mirror(b: int, n_digits: int, half_lo: int, half_hi: int) -> np.ndarray:
-    # palindrome_from_half over a range of h, in int64 when the largest value
-    # is below 2**63 (mirroring is increasing in h), else in an object array
-    # of Python ints by the same operations: the low n_digits - m digits are
-    # the reversal of h without its middle digit
-    m = (n_digits + 1) // 2
-    tail = n_digits - m
-    wide = palindrome_from_half(half_hi - 1, b, n_digits) >= _INT64_LIMIT
-    h = np.arange(half_lo, half_hi, dtype=object if wide else np.int64)
-    rest = h // b ** (m - tail)
-    reversed_rest = np.zeros_like(h)
-    for _ in range(tail):
-        reversed_rest = reversed_rest * b + rest % b
-        rest //= b
-    return h * b**tail + reversed_rest
-
-
-def _mirror_batches(b: int, segments, restricted: bool):
-    # each segment is mirrored in chunks of at most BATCH_HALVES
-    # half-prefixes; empty batches are skipped
-    coprime_to = b**3 - b
-    for n_digits, half_lo, half_hi in segments:
-        if restricted and n_digits % 2 == 0:
-            continue  # b + 1 divides every even-length palindrome
-        for lo in range(half_lo, half_hi, BATCH_HALVES):
-            batch = _mirror(b, n_digits, lo, min(lo + BATCH_HALVES, half_hi))
-            if restricted:
-                batch = batch[np.gcd(batch, coprime_to) == 1]
-                if batch.dtype == object and len(batch) and batch[-1] < _INT64_LIMIT:
-                    batch = batch.astype(np.int64)  # every value >= 2**63 was dropped
-            if len(batch):
-                yield batch
 
 
 def _digit_weights(b: int, n_digits: int) -> list[int]:
@@ -173,6 +137,15 @@ def _grid_blocks(b: int, segments, restricted: bool):
                 yield high, low, keep
 
 
+def _flat_batches(b: int, segments, restricted: bool):
+    """The values each grid block keeps, row by row; empty ones are skipped."""
+    for high, low, keep in _grid_blocks(b, segments, restricted):
+        values = (high[:, None] + low[None, :]).ravel()
+        values = values if keep is None else values[keep]
+        if len(values):
+            yield values
+
+
 class PalindromeStream:
     """Strictly increasing iterator over a palindrome set given as segments.
 
@@ -180,10 +153,10 @@ class PalindromeStream:
     """
 
     def __init__(self, base, segments, restricted):
-        self.base = base
-        self.restricted = restricted
-        self._values = (n for batch in _mirror_batches(base, segments, restricted)
-                        for n in batch.tolist())
+        self._values = chain.from_iterable(
+            batch[start : start + _STREAM_SLICE].tolist()
+            for batch in _flat_batches(base, segments, restricted)
+            for start in range(0, len(batch), _STREAM_SLICE))
 
     def __iter__(self) -> "PalindromeStream":
         return self
@@ -205,6 +178,8 @@ def _fixed_length_segment(b: int, n_digits: int) -> tuple[int, int, int]:
 def _segments_up_to(b: int, x: int) -> list[tuple[int, int, int]]:
     # Digit lengths below that of x come in full. The length of x may pass
     # the fixed-length 2**127 check, so its segment is built here.
+    if x < 1:
+        raise ValueError("x must be >= 1")
     _check_base(b)
     if x >= STREAM_VALUE_LIMIT:
         raise OverflowError("x exceeds the 2**127 stream bound")
@@ -230,17 +205,12 @@ def stream_fixed_length(b: int, n_digits: int, restricted: bool = False) -> Pali
 
 def stream_up_to(b: int, x: int, restricted: bool = False) -> PalindromeStream:
     """All base-b palindromes <= x in increasing order."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
     return PalindromeStream(b, _segments_up_to(b, x), restricted)
 
 
 def batches_up_to(b: int, x: int, restricted: bool):
-    """stream_up_to as increasing numpy arrays: int64 below 2**63, dtype
-    object above."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    return _mirror_batches(b, _segments_up_to(b, x), restricted)
+    """stream_up_to as increasing numpy arrays, one per grid block (see _grid_blocks)."""
+    return _flat_batches(b, _segments_up_to(b, x), restricted)
 
 
 def grids_fixed_length(b: int, n_digits: int, restricted: bool):
@@ -251,8 +221,6 @@ def grids_fixed_length(b: int, n_digits: int, restricted: bool):
 
 def grids_up_to(b: int, x: int, restricted: bool):
     """The palindromes of stream_up_to as grid blocks (see _grid_blocks)."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
     return _grid_blocks(b, _segments_up_to(b, x), restricted)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palindrome_lab import arith, census, stream_up_to
+from palindrome_lab import arith, census, stream_up_to, streams
 from palindrome_lab.arith import is_squarefree
 from palindrome_lab.census import (
     ZETA2_INV,
@@ -20,8 +20,8 @@ from palindrome_lab.census import (
     q_star_mobius,
     s_b,
 )
-from palindrome_lab.digits import is_palindrome
-from palindrome_lab.streams import batches_up_to, palindrome_from_half
+from palindrome_lab.digits import is_palindrome, to_digits
+from palindrome_lab.streams import grids_up_to, palindrome_from_half
 
 
 def test_density_constant_values():
@@ -93,6 +93,10 @@ def test_mobius_route_refuses_int64_overflow():
         census_up_to(10, 2**63, check_identity=True)
     with pytest.raises(OverflowError):
         q_star_mobius(10, 2**63)
+    # its own mirror has no segment list to refuse x < 1, as the grids do
+    for x in (0, -3):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            q_star_mobius(10, x)
     with pytest.raises(OverflowError):
         s_b(10, 2**63, 10**9, strategy="multiples")
     # the largest int64 cutoff is accepted by the walk; from d = root - 1000
@@ -205,16 +209,27 @@ def test_s_b_multiples_matches_stream(b, x, d_dyadic):
 # the Mobius route of a checked census: it must not read arith, so that a
 # fault there reaches only the direct count
 MOBIUS_ROUTE = ("q_star_mobius", "_mobius_census", "_primes", "_restricting_primes",
-                "_squarefree_coprime", "_mobius_plan", "_mobius_multiples", "_mobius_walk",
-                "_restricted_multiples", "_palindrome_mask")
+                "_squarefree_coprime", "_mobius_plan", "_mobius_palindromes", "_mirror_up_to",
+                "_mobius_multiples", "_mobius_walk", "_restricted_multiples",
+                "_palindrome_mask")
+
+# the square-free test of the direct side, and the generator and the cut of
+# its grids; _mobius_plan may read streams.count_up_to, which only sets D
+MOBIUS_ROUTE_FORBIDDEN = {"arith", "batches_up_to", "grids_up_to", "grids_fixed_length",
+                          "_segments_up_to", "_digit_weights", "_grid_blocks"}
 
 
 def test_mobius_route_reads_no_arith():
     tree = ast.parse(Path(census.__file__).read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in MOBIUS_ROUTE:
-        names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
-        assert "arith" not in names, name
+        read = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        assert not read & MOBIUS_ROUTE_FORBIDDEN, name
 
 
 def test_census_record_fields():
@@ -352,16 +367,100 @@ def test_census_identity_guard(monkeypatch):
 
 
 def test_census_up_to_streams_once(monkeypatch):
+    # one pass over the grids and one over the Mobius route's own batches
     opened = []
 
-    def counting_batches_up_to(*args, **kwargs):
-        opened.append(args)
-        return batches_up_to(*args, **kwargs)
+    def counting(name, generator):
+        def opens(*args):
+            opened.append(name)
+            return generator(*args)
+        return opens
 
-    monkeypatch.setattr(census, "batches_up_to", counting_batches_up_to)
+    monkeypatch.setattr(census, "grids_up_to", counting("grids", grids_up_to))
+    monkeypatch.setattr(census, "_mobius_palindromes",
+                        counting("mirror", census._mobius_palindromes))
     rec = census_up_to(10, 10**4, check_identity=True)
     assert (rec.total, rec.squarefree) == (25, 24)
-    assert len(opened) == 1
+    assert sorted(opened) == ["grids", "mirror"]
+
+
+@pytest.mark.parametrize("b,x,total", [(10, 123456789, 4110), (3, 5 * 10**6, 762)])
+def test_census_catches_a_late_cut(monkeypatch, b, x, total):
+    # a last segment that ends one half-prefix late puts a palindrome above x
+    # in the grids; the Mobius route cuts at x by value, so the two palindrome
+    # counts must differ
+    real = streams._segments_up_to
+
+    def late(b, x):
+        *full, (n_digits, half_lo, half_hi) = real(b, x)
+        return [*full, (n_digits, half_lo, half_hi + 1)]
+
+    assert census_up_to(b, x).total == total
+    monkeypatch.setattr(streams, "_segments_up_to", late)
+    assert census_up_to(b, x, check_identity=False).total == total + 1
+    with pytest.raises(ArithmeticError, match="palindrome counts disagree"):
+        census_up_to(b, x)
+
+
+def _scalar_restricted(b, n_digits, half_lo, half_hi, x):
+    """The restricted palindromes <= x among the mirrors of [half_lo, half_hi)
+    by palindrome_from_half."""
+    return [n for h in range(half_lo, half_hi)
+            if (n := palindrome_from_half(h, b, n_digits)) <= x and math.gcd(n, b**3 - b) == 1]
+
+
+def _last_half(b, n_digits, x):
+    """The largest N-digit half-prefix h with h * b**(N - m) <= x, plus one,
+    which is where the Mobius route stops mirroring."""
+    m = (n_digits + 1) // 2
+    return min(b**m, x // b ** (n_digits - m) + 1)
+
+
+@pytest.mark.parametrize("b", range(2, 65))
+def test_mobius_palindromes_match_scalar_mirror(b):
+    # x at b**N - 1, b**N and b**N + 1 for every N below 2**63, and 2**63 - 1:
+    # the whole generator where x <= 10**6, and the last 200 half-prefixes
+    # of each of the two digit lengths at x everywhere
+    edges = {2**63 - 1}
+    n = 1
+    while b**n + 1 < 2**63:
+        edges |= {b**n - 1, b**n, b**n + 1}
+        n += 1
+    for x in sorted(edges):
+        x_digits = len(to_digits(x, b))
+        if x <= 10**6:
+            batches = list(census._mobius_palindromes(b, x))
+            assert all(batch.dtype == np.int64 and len(batch) for batch in batches)
+            expected = [n for n_digits in range(1, x_digits + 1)
+                        for n in _scalar_restricted(b, n_digits, b ** ((n_digits - 1) // 2),
+                                                    b ** ((n_digits + 1) // 2), x)]
+            assert [n for batch in batches for n in batch.tolist()] == expected, x
+        for n_digits in range(max(1, x_digits - 1), x_digits + 1):
+            top = _last_half(b, n_digits, x)
+            lo = max(b ** ((n_digits - 1) // 2), top - 200)
+            batch = census._mirror_up_to(b, n_digits, lo, top, x)
+            assert batch.dtype == np.int64
+            assert batch.tolist() == _scalar_restricted(b, n_digits, lo, top, x), (x, n_digits)
+
+
+def test_restricted_batches_below_int64_limit_are_int64():
+    # runs of 1..4 half-prefixes ending at the last one tried at x = 2**63 - 1,
+    # in its digit length N and in N - 1. In 26 bases the last one of N
+    # digits mirrors to 2**63 or more, where int64 arithmetic wraps
+    x = 2**63 - 1
+    wrapped = set()
+    for b in range(2, 65):
+        x_digits = len(to_digits(x, b))
+        for n_digits in (x_digits - 1, x_digits):
+            top = _last_half(b, n_digits, x)
+            if palindrome_from_half(top - 1, b, n_digits) > x:
+                wrapped.add(b)
+            for count in range(1, 5):
+                lo = max(top - count, b ** ((n_digits - 1) // 2))
+                batch = census._mirror_up_to(b, n_digits, lo, top, x)
+                assert batch.dtype == np.int64
+                assert batch.tolist() == _scalar_restricted(b, n_digits, lo, top, x), (b, count)
+    assert len(wrapped) == 26
 
 
 def test_census_palindrome_counts_must_agree(monkeypatch):

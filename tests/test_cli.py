@@ -225,3 +225,19 @@ def test_report_matches_golden(name, fmt, tmp_path):
     path = tmp_path / f"out.{fmt}"
     assert main(GOLDEN_CASES[name] + ["--format", fmt, "--output", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+# enumerate writes its own headerless stream, one value per line
+ENUMERATE_GOLDEN_CASES = {
+    "enumerate_b10_1e6_restricted_digits": ["--base", "10", "--max", "1000000",
+                                            "--restricted", "--render-digits"],
+    "enumerate_b2_d21": ["--base", "2", "--digits", "21"],
+    "enumerate_b64_2p24": ["--base", "64", "--max", "16777216"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATE_GOLDEN_CASES))
+def test_enumerate_matches_golden(name, tmp_path):
+    path = tmp_path / "out.txt"
+    assert main(["enumerate", *ENUMERATE_GOLDEN_CASES[name], "--output", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / f"{name}.txt").read_bytes()

@@ -6,7 +6,6 @@ import pytest
 
 from palindrome_lab import census, harness
 from palindrome_lab.harness import (
-    Budget,
     BudgetExceededError,
     fit_averaged_k2,
     fit_critical_point_bound,
@@ -82,13 +81,15 @@ def test_fit_prop1_per_base_constants():
         assert fit.fitted_constant == max(fit.observed)
 
 
-def test_fit_prop1_budget_guard():
+def test_fit_prop1_budget_guard(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_PROBES", 10)
     with pytest.raises(BudgetExceededError):
-        fit_prop1(10, [10**8], [10**3], budget=Budget(max_probes=10))
+        fit_prop1(10, [10**8], [10**3])
     # strategy="both" pays for both strategies: 21,978 + 56,404 probes here,
     # while the cheaper one alone fits the budget
+    monkeypatch.setattr(harness, "MAX_PROBES", 30000)
     with pytest.raises(BudgetExceededError):
-        fit_prop1(10, [10**6], [10], budget=Budget(max_probes=30000))
+        fit_prop1(10, [10**6], [10])
 
 
 def test_fit_prop2_prop3_windows():
@@ -106,9 +107,10 @@ def test_fit_prop2_prop3_windows():
     assert mid.observed[idx] == pytest.approx(1 * 100 ** (2 / 3) / 10**4)
 
 
-def test_fit_prop2_prop3_budget_guard():
+def test_fit_prop2_prop3_budget_guard(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_PROBES", 10)
     with pytest.raises(BudgetExceededError):
-        fit_prop2_prop3(10, [10**6], [100], budget=Budget(max_probes=10))
+        fit_prop2_prop3(10, [10**6], [100])
 
 
 def _count_s_b_calls(monkeypatch):
@@ -148,9 +150,10 @@ def test_asymptotic_report_rows():
         assert not r.restricted
 
 
-def test_asymptotic_report_budget():
+def test_asymptotic_report_budget(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_PALINDROMES", 100)
     with pytest.raises(BudgetExceededError):
-        harness.asymptotic_report(10, [10**9], budget=Budget(max_palindromes=100))
+        harness.asymptotic_report(10, [10**9])
 
 
 @pytest.mark.parametrize("b", (2, 10))

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from palindrome_lab import streams
 from palindrome_lab.digits import is_palindrome, to_digits
 from palindrome_lab.streams import (
-    BATCH_HALVES,
     GRID_VALUES,
     PalindromeStream,
     _digit_weights,
     _fixed_length_segment,
+    _flat_batches,
     _grid_blocks,
-    _mirror,
-    _mirror_batches,
     _segments_up_to,
     batches_up_to,
     count_up_to,
@@ -153,6 +151,27 @@ def test_overflow_guards():
     stream_fixed_length(2, 127)
 
 
+@pytest.mark.parametrize("b", range(2, 65))
+def test_segments_end_at_the_first_half_above_x(b):
+    # the cut h*(x) + 1 against palindrome_from_half at x = b**N - 1, b**N
+    # and b**N + 1 for every N below the 2**127 bound, and at 2**63 - 1 and
+    # 2**127 - 1; half_hi may be b**m, which mirrors to b**N
+    edges = {2**63 - 1, 2**127 - 1}
+    n = 1
+    while b**n + 1 < 2**127:
+        edges |= {b**n - 1, b**n, b**n + 1}
+        n += 1
+    for x in sorted(edges):
+        segments = _segments_up_to(b, x)
+        n_digits, half_lo, half_hi = segments[-1]
+        assert n_digits == len(to_digits(x, b)) == len(segments)
+        assert segments[:-1] == [_fixed_length_segment(b, n) for n in range(1, n_digits)]
+        assert half_lo == b ** ((n_digits - 1) // 2) <= half_hi
+        assert palindrome_from_half(half_hi, b, n_digits) > x, x
+        if half_hi > half_lo:
+            assert palindrome_from_half(half_hi - 1, b, n_digits) <= x, x
+
+
 def test_count_and_stream_share_the_bound():
     for x in (2**127, 2**128):
         with pytest.raises(OverflowError):
@@ -179,6 +198,21 @@ def _flatten(batches):
     return [v for batch in batches for v in batch.tolist()]
 
 
+def _scalar_mirror(b, n_digits, half_lo, half_hi, restricted=False):
+    """palindrome_from_half over [half_lo, half_hi), optionally restricted."""
+    values = [palindrome_from_half(h, b, n_digits) for h in range(half_lo, half_hi)]
+    return [n for n in values if gcd(n, b**3 - b) == 1] if restricted else values
+
+
+def _scalar_up_to(b, x, restricted=False):
+    """Every palindrome <= x by palindrome_from_half, over every half-prefix
+    of every digit length up to that of x."""
+    return [n for n_digits in range(1, len(to_digits(x, b)) + 1)
+            for n in _scalar_mirror(b, n_digits, b ** ((n_digits - 1) // 2),
+                                    b ** ((n_digits + 1) // 2), restricted)
+            if n <= x]
+
+
 def _crossing_half(b):
     # the digit length N of 2**63 in base b and the first half-prefix whose
     # N-digit palindrome is >= 2**63
@@ -195,13 +229,8 @@ def test_batches_up_to_match_stream(b, x, restricted):
     batches = list(batches_up_to(b, x, restricted))
     assert all(batch.dtype == np.int64 and len(batch) for batch in batches)
     assert _flatten(batches) == list(stream_up_to(b, x, restricted))
-    # streams flatten the batches, so the reference is the scalar mirror of
-    # every half-prefix of every digit length up to that of x
-    expected = [n for n_digits in range(1, len(to_digits(x, b)) + 1)
-                for h in range(b ** ((n_digits - 1) // 2), b ** ((n_digits + 1) // 2))
-                if (n := palindrome_from_half(h, b, n_digits)) <= x
-                and (not restricted or gcd(n, b**3 - b) == 1)]
-    assert _flatten(batches) == expected
+    # streams flatten the batches, so the reference is the scalar mirror
+    assert _flatten(batches) == _scalar_up_to(b, x, restricted)
 
 
 @given(st.integers(2, 64), st.booleans(), st.integers(-300, 300), st.integers(1, 400))
@@ -212,35 +241,13 @@ def test_batches_across_int64_limit(b, restricted, offset, count):
     lo = min(max(h_cross + offset, b ** (m - 1)), b**m - 1)
     hi = min(lo + count, b**m)
     segment = [(n_digits, lo, hi)]
-    batches = list(_mirror_batches(b, segment, restricted))
-    expected = [palindrome_from_half(h, b, n_digits) for h in range(lo, hi)]
-    if restricted:
-        expected = [n for n in expected if gcd(n, b**3 - b) == 1]
+    batches = list(_flat_batches(b, segment, restricted))
+    expected = _scalar_mirror(b, n_digits, lo, hi, restricted)
     assert _flatten(batches) == expected == list(PalindromeStream(b, segment, restricted))
+    # the dtype follows the largest palindrome of the segment
+    wide = palindrome_from_half(hi - 1, b, n_digits) >= 2**63
     for batch in batches:
-        assert (batch.dtype == np.int64) == (max(batch.tolist()) < 2**63)
-
-
-def test_restricted_batches_below_int64_limit_are_int64():
-    # runs of 1..4 half-prefixes ending at or just past the first one whose
-    # palindrome is >= 2**63: when the restricted filter drops every value
-    # >= 2**63, what is left must be an int64 batch, e.g. b = 10, offset -1,
-    # count 2
-    for b in range(2, 65):
-        n_digits, h_cross = _crossing_half(b)
-        m = (n_digits + 1) // 2
-        for offset in range(-3, 1):
-            for count in range(1, 5):
-                lo = max(h_cross + offset, b ** (m - 1))
-                hi = min(lo + count, b**m)
-                segment = [(n_digits, lo, hi)]
-                expected = [n for n in (palindrome_from_half(h, b, n_digits)
-                                        for h in range(lo, hi))
-                            if gcd(n, b**3 - b) == 1]
-                batches = list(_mirror_batches(b, segment, True))
-                assert _flatten(batches) == expected
-                for batch in batches:
-                    assert (batch.dtype == np.int64) == (batch[-1] < 2**63), (b, offset, count)
+        assert (batch.dtype == object) == wide
 
 
 @pytest.mark.parametrize("b", (2, 3, 10, 64))
@@ -260,19 +267,23 @@ def test_streams_yield_python_ints_across_int64_limit(b):
         assert type(n) is int
 
 
-def test_batches_split_long_segments():
-    # binary palindromes of 2m digits have 2**(m-1) half-prefixes: two
-    # full batches when 2**(m-2) = BATCH_HALVES
-    n_digits = 2 * (BATCH_HALVES.bit_length() + 1)
-    segment = _fixed_length_segment(2, n_digits)
-    batches = list(_mirror_batches(2, [segment], False))
-    assert [len(batch) for batch in batches] == [BATCH_HALVES, BATCH_HALVES]
-    assert _flatten(batches) == list(stream_fixed_length(2, n_digits))
+def test_batches_split_long_segments(monkeypatch):
+    # a batch is one grid block: at 2**12 values per block, the 2**14
+    # half-prefixes of 30 binary digits are 256 rows of 64 columns, in
+    # blocks of 64 rows
+    monkeypatch.setattr(streams, "GRID_VALUES", 1 << 12)
+    segment = _fixed_length_segment(2, 30)
+    batches = list(_flat_batches(2, [segment], False))
+    assert [len(batch) for batch in batches] == [1 << 12] * 4
+    assert _flatten(batches) == _scalar_mirror(2, *segment)
     # an odd length has restricted members; the split is the same
-    segment = _fixed_length_segment(2, n_digits - 1)
-    restricted = list(_mirror_batches(2, [segment], True))
-    assert len(restricted) == 2
-    assert _flatten(restricted) == list(stream_fixed_length(2, n_digits - 1, restricted=True))
+    segment = _fixed_length_segment(2, 29)
+    restricted = list(_flat_batches(2, [segment], True))
+    assert len(restricted) == 4
+    assert _flatten(restricted) == _scalar_mirror(2, *segment, restricted=True)
+    # a stream turns a batch into Python ints a slice at a time
+    monkeypatch.setattr(streams, "_STREAM_SLICE", 100)
+    assert list(stream_fixed_length(2, 29, restricted=True)) == _flatten(restricted)
     with pytest.raises(ValueError):
         batches_up_to(10, 0, False)
 
@@ -312,11 +323,11 @@ def test_grids_match_mirror_below_int64_limit(b):
     # segment (up to 2**63 - 1 in base 2) and the partial last segment of x
     rng = random.Random(b)
     for segment in _int64_windows(b, rng):
-        mirrored = _mirror(b, *segment)
+        mirrored = _scalar_mirror(b, *segment)
         values, kept = _grid_values(_grid_blocks(b, [segment], False))
-        assert values == kept == mirrored.tolist(), segment
+        assert values == kept == mirrored, segment
         _, kept = _grid_values(_grid_blocks(b, [segment], True))
-        assert kept == mirrored[np.gcd(mirrored, b**3 - b) == 1].tolist(), segment
+        assert kept == [n for n in mirrored if gcd(n, b**3 - b) == 1], segment
 
 
 @given(st.integers(2, 64), st.booleans(), st.integers(-300, 300), st.integers(1, 400))
@@ -326,17 +337,16 @@ def test_grids_across_int64_limit(b, restricted, offset, count):
     m = (n_digits + 1) // 2
     lo = min(max(h_cross + offset, b ** (m - 1)), b**m - 1)
     segment = (n_digits, lo, min(lo + count, b**m))
-    expected = [palindrome_from_half(h, b, n_digits) for h in range(*segment[1:])]
-    if restricted:
-        expected = [n for n in expected if gcd(n, b**3 - b) == 1]
+    expected = _scalar_mirror(b, *segment, restricted)
     assert _grid_values(_grid_blocks(b, [segment], restricted))[1] == expected
 
 
 def test_grids_of_whole_sets(monkeypatch):
     for b, x in ((10, 123454321), (2, 5 * 2**28), (3, 10**7), (64, 10**9)):
         for restricted in (False, True):
-            values = [v for batch in batches_up_to(b, x, restricted) for v in batch.tolist()]
+            values = _scalar_up_to(b, x, restricted)
             assert _grid_values(grids_up_to(b, x, restricted))[1] == values
+            assert list(stream_up_to(b, x, restricted)) == values
     # at 2**12 values per block a block has at most 2**6 columns, so the
     # 2**15 half-prefixes of the 31-digit binary segment are 512 rows of 64,
     # in blocks of 64 rows
@@ -344,7 +354,7 @@ def test_grids_of_whole_sets(monkeypatch):
     blocks = list(grids_fixed_length(2, 31, False))
     assert [len(high) for high, _, _ in blocks] == [64] * 8
     assert [len(low) for _, low, _ in blocks] == [64] * 8
-    assert _grid_values(blocks, 1 << 12)[0] == _mirror(2, 31, 2**15, 2**16).tolist()
+    assert _grid_values(blocks, 1 << 12)[0] == _scalar_mirror(2, 31, 2**15, 2**16)
     with pytest.raises(ValueError):
         grids_up_to(10, 0, False)
 
@@ -367,6 +377,5 @@ def test_even_length_palindromes_are_multiples_of_b_plus_1():
             assert all(w % (b + 1) == 0 for w in _digit_weights(b, n_digits)), (b, n_digits)
         for segment in _int64_windows(b, rng, size=50):
             if segment[0] % 2 == 0:
-                assert not (_mirror(b, *segment) % (b + 1)).any()
-                assert not list(_mirror_batches(b, [segment], True))
+                assert all(n % (b + 1) == 0 for n in _scalar_mirror(b, *segment))
                 assert not list(_grid_blocks(b, [segment], True))
