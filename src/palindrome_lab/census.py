@@ -9,20 +9,33 @@ restricted palindromes <= x equals
 A checked census counts the left side and evaluates the right side, and the
 two must agree exactly, as must the two counts of the palindromes. The left
 side is arith.squarefree_grid on the digit-weight grids of the palindromes
-(streams.grids_up_to). The right side mirrors the palindromes itself in
-int64 batches, cut at x by value, and splits d at a crossover D, as the
-paper's argument does: each d <= D counts the multiples of d^2 in every
-batch, and each d > D walks the restricted multiples m*d^2 <= x and keeps
-the palindromes among them. D balances the two costs, about #palindromes *
-D residue tests against x / D walked multiples. mu comes from a sieve of
-this module and the palindromes of the walk from a digit test of its own,
-so the right side shares no code with arith's square-free test, nor the
-digit weights or the cut of the grids. It needs x < 2**63.
+(streams.grids_up_to). The right side splits d in three regimes at
+crossovers D1 <= D2 that a cost model picks (_mobius_plan):
+
+- d <= D1: the palindromes, mirrored here in int64 batches and cut at x by
+  value, are tested for each d^2. This pass also counts them.
+- D1 < d <= D2: each odd length's palindromes are the sums A + B of two
+  halves, A over the leading digits of a half-prefix and B over the rest
+  (the digit-weight factorization of Banks, Hart and Sakata). N_d counts
+  the pairs with A = -B mod d^2, found by one sort of both halves' residues
+  for a block of d; the few matched pairs are then cut at x and tested for
+  the restriction by value.
+- d > D2: the walk over the restricted multiples m*d^2 <= x keeps the
+  palindromes among them.
+
+The residues cost about #palindromes per d, the pairs about x^(1/4) per d,
+the walk about x / d^2, so the whole costs about x^(5/8), against x^(3/4)
+with two regimes. mu comes from a sieve of this module, the halves from a
+mirror of its own and the palindromes of the walk from a digit test of its
+own: the right side shares no code with arith's square-free test, and with
+the grids nothing but the idea of digit weights, neither their weights nor
+their cut at x. It needs x < 2**63.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -81,15 +94,21 @@ def q_star_mobius(b: int, x: int) -> int:
     return _mobius_census(b, x, _mobius_plan(b, x))[1]
 
 
-def _mobius_census(b: int, x: int, plan) -> tuple[int, int]:
-    """(#restricted palindromes <= x, the Mobius sum) from the mirrored
-    batches, for the plan of _mobius_plan."""
-    d_split, squares, mu = plan
+def _mobius_census(b: int, x: int, plan: tuple[int, int]) -> tuple[int, int]:
+    """(#restricted palindromes <= x, the Mobius sum) for a plan (D1, D2)
+    of _mobius_plan: the d <= D1 by residues in the mirrored batches, the
+    d in (D1, D2] by pairs of halves, the d > D2 by the walk."""
+    d1, d2 = plan
+    d, mu = _squarefree_coprime(b, 1, d1 + 1)
+    squares = d * d
     mirrored = via_mobius = 0
     for batch in _mobius_palindromes(b, x):
         mirrored += len(batch)
         via_mobius += _mobius_multiples(batch, squares, mu)
-    return mirrored, via_mobius + _mobius_walk(b, x, d_split)
+    d, mu = _squarefree_coprime(b, d1 + 1, min(d2, isqrt(x)) + 1)
+    if len(d):
+        via_mobius += _mobius_pairs(b, x, _pair_halves(b, x), d * d, mu)
+    return mirrored, via_mobius + _mobius_walk(b, x, d2)
 
 
 def _census(b: int, grids, restricted: bool, scope_kind: str, scope: int,
@@ -153,28 +172,27 @@ def q_fixed_length(b: int, n_digits: int) -> CensusRecord:
 
 
 # ---------------------------------------------------------------------------
-# the Mobius side: multiples of d^2 by residues and by walks
+# the Mobius side: multiples of d^2 by residues, pairs of halves and walks
 # ---------------------------------------------------------------------------
 
 _INT64_LIMIT = 1 << 63
 
 # The (palindrome, d^2) pairs of one 2-D residue block, the half-prefixes
-# of one mirrored batch, and the multiples (and the d of one mu segment) of
-# one walk block. A walk block keeps a few arrays of its size alive at once,
-# so it is the smaller. At these sizes the peak memory of a census-scan pass
-# is still set by the prime tables of its wide square-free tests.
+# of one mirrored batch, the sort keys of one pair block, and the multiples
+# (and the d of one mu segment) of one walk block. A walk block keeps a few
+# arrays of its size alive at once, so it is the smaller. At these sizes the
+# peak memory of a census-scan pass is still set by the prime tables of its
+# wide square-free tests.
 _RESIDUE_BLOCK = 1 << 16
 _MIRROR_HALVES = 1 << 14
+_PAIR_KEYS = 1 << 15
 _WALK_BLOCK = 1 << 14
 
-# The weight of one walked multiple against one residue test in the
-# crossover model. On a 2-core x86 host a residue test took 8-9 ns and a
-# walked multiple 31-40 ns in base 10 and 75 ns in base 2 (whose palindrome
-# test compares more digit pairs); the weight also takes in that the model
-# counts every palindrome, not only the restricted ones, and every m, not
-# only those coprime to b^3 - b. Weights from 4 to 9 timed within 10% of
-# each other in bases 2, 3, 7 and 10.
-_WALK_COST = 6
+# The weights of the cost model of _mobius_plan, in residue tests; fitted
+# by timing (see there).
+_KEY_COST = 4
+_PAIR_COST = 16
+_WALK_COST = 4
 
 
 def _primes(limit: int) -> np.ndarray:
@@ -213,21 +231,58 @@ def _squarefree_coprime(b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
     return d[keep], mu[keep]
 
 
-def _mobius_plan(b: int, x: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The crossover D for x, and d^2 and mu(d) for the d <= D of the
-    Mobius sum.
+def _mobius_plan(b: int, x: int) -> tuple[int, int]:
+    """The crossovers (D1, D2) of the Mobius sum at x: residues count the
+    d <= D1, pairs of halves the d in (D1, D2], the walk the d > D2.
 
-    About #palindromes * D residue tests count the d <= D and about x / D
-    walked multiples the d > D (both times the same density of eligible d),
-    so D = sqrt(_WALK_COST * x / #palindromes) balances them.
+    Per eligible d, the residue regime tests the R restricted palindromes,
+    the pair regime sorts the K keys of the halves and tests the about
+    H / d^2 pairs that match (H the pairs of the halves), and the walk visits
+    about M / d^2 multiples (M = x times the share of m coprime to b^3 - b).
+    R is taken as H times the share of values coprime to b^2 - 1. With the
+    same density of eligible d in each regime, the cost is about
+
+        R*D1 + k*K*(D2 - D1) + h*H*(1/D1 - 1/D2) + w*M/D2
+
+    residue tests, least at D1 = sqrt(h*H / (R - k*K)) and
+    D2 = sqrt((w*M - h*H) / (k*K)). When that costs more than the two
+    regimes at D1 = D2 = sqrt(w*M / R), or R <= k*K, the pair regime is
+    left empty, as it is at small x.
+
+    The weights k = _KEY_COST = 4, h = _PAIR_COST = 16 and w = _WALK_COST
+    = 4 were fitted by timing on a 2-core x86 host, where a residue test
+    took 6-10 ns, a sort key 30-38 ns, a matched pair 90-140 ns and a walked
+    multiple 30-95 ns (base 2, whose palindrome test compares the most digit
+    pairs, the slowest). Among the weights tried (k from 3 to 6, h from 8
+    to 32, w from 4 to 9), the plans of these timed within 5% of the best
+    in 12 of 15 cases (bases 2, 3, 7, 10, 16 and 64, x = 10^6 to 10^12) and
+    within 22% in all; the cost is flat near its least. They put D1 below
+    10 and D2 near x^(3/8) from x = 10^8 on, and leave the pair regime
+    empty at x = 10^6 in base 10.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if x >= _INT64_LIMIT:
         raise OverflowError(f"the Mobius route needs x < 2**63, got {x}")
-    d_split = min(isqrt(_WALK_COST * x // max(count_up_to(b, x), 1)), isqrt(x))
-    d, mu = _squarefree_coprime(b, 1, d_split + 1)
-    return d_split, d * d, mu
+    root = isqrt(x)
+    primes = _restricting_primes(b)
+    lengths = _pair_lengths(b, x)
+    pairs = sum(rows * b**k for _, _, k, rows in lengths)
+    tested = pairs * math.prod(1 - 1 / p for p in primes if b % p)
+    keys = _KEY_COST * sum(rows + b**k for _, _, k, rows in lengths)
+    matched = _PAIR_COST * pairs
+    walked = _WALK_COST * x * math.prod(1 - 1 / p for p in primes)
+
+    def cost(d1, d2):
+        d1, d2 = max(d1, 1), max(d2, 1)
+        return tested * d1 + keys * (d2 - d1) + matched * (1 / d1 - 1 / d2) + walked / d2
+
+    d = min(int(math.sqrt(walked / tested)), root)
+    plans = [(d, d)]
+    if tested > keys:
+        d2 = min(int(math.sqrt(max(walked - matched, 0) / keys)), root)
+        plans.append((min(int(math.sqrt(matched / (tested - keys))), d2), d2))
+    return min(plans, key=lambda plan: cost(*plan))
 
 
 def _mobius_palindromes(b: int, x: int):
@@ -249,17 +304,134 @@ def _mobius_palindromes(b: int, x: int):
 def _mirror_up_to(b: int, n_digits: int, half_lo: int, half_hi: int, x: int) -> np.ndarray:
     """The N-digit palindromes <= x coprime to b^3 - b mirrored from the h in
     [half_lo, half_hi), each with h * b**(N - m) <= x, as int64."""
-    m = (n_digits + 1) // 2
-    tail = n_digits - m
-    h = np.arange(half_lo, half_hi, dtype=np.int64)
-    high = h * b**tail
-    low = np.zeros_like(h)  # the reversal of h without its middle digit
-    for j in range(m - tail, m):
-        low = low * b + h // b**j % b
+    high, low = _mirror(np.arange(half_lo, half_hi, dtype=np.int64), b, n_digits)
     # high + low may pass 2**63 near x = 2**63, where int64 wraps silently;
     # it is then above x, and low <= x - high drops it without reading it
     n = high + low
     return n[(low <= x - high) & (np.gcd(n, b**3 - b) == 1)]
+
+
+def _mirror(h: np.ndarray, b: int, n_digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h * b**(N - m), the reversal of h without its middle digit): their
+    sum is the N-digit palindrome mirrored from each half-prefix h of m
+    digits, leading zeros included. Both parts are additive over digits."""
+    m = (n_digits + 1) // 2
+    tail = n_digits - m
+    low = np.zeros_like(h)
+    for j in range(m - tail, m):
+        low = low * b + h // b**j % b
+    return h * b**tail, low
+
+
+def _pair_lengths(b: int, x: int) -> list[tuple[int, int, int, int]]:
+    """(N, top, k, rows) for each odd length N with b**(N-1) <= x: the
+    half-prefixes h < top (the first h with h * b**(N - m) > x) split as
+    high * b**k + low, with rows values of high whose leading digit is
+    coprime to b; k makes rows + b**k, the size of the halves, least."""
+    leads = [lead for lead in range(1, b) if math.gcd(lead, b) == 1]
+    lengths = []
+    for n_digits in range(1, _INT64_LIMIT.bit_length(), 2):
+        if b ** (n_digits - 1) > x:
+            break
+        m = (n_digits + 1) // 2
+        top = min(b**m, x // b ** (n_digits - m) + 1)
+
+        def rows(k):
+            # the high in [place, end): whole runs of the leads below the
+            # lead of end, and part of its own run
+            place = b ** (m - k - 1)
+            lead, part = divmod(-(-top // b**k), place)
+            return place * bisect_left(leads, lead) + (part if lead in leads else 0)
+
+        k = min(range(m), key=lambda k: rows(k) + b**k)
+        lengths.append((n_digits, top, k, rows(k)))
+    return lengths
+
+
+def _pair_halves(b: int, x: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per length of _pair_lengths, int64 halves (A, B) whose sums
+    A[i] + B[j] hold each N-digit palindrome <= x with its leading digit
+    coprime to b once, and otherwise only palindromes above x.
+
+    The palindrome of h = high * b**k + low is the mirror of high * b**k
+    plus that of low (both are sums of digits times the weights
+    W_j = b**(N-1-j) + b**j). A holds the first for each high whose leading
+    digit is coprime to b and whose mirror is <= x, B the second for each
+    low < b**k.
+    """
+    halves = []
+    for n_digits, top, k, _ in _pair_lengths(b, x):
+        place = b ** ((n_digits + 1) // 2 - k - 1)
+        high = np.arange(place, -(-top // b**k), dtype=np.int64)
+        high, low = _mirror(high[np.gcd(high // place, b) == 1] * b**k, b, n_digits)
+        keep = low <= x - high  # no wrap: high <= x, as in _mirror_up_to
+        halves.append((high[keep] + low[keep],
+                       np.add(*_mirror(np.arange(b**k, dtype=np.int64), b, n_digits))))
+    return halves
+
+
+def _mobius_pairs(b: int, x: int, halves, squares: np.ndarray, mu: np.ndarray) -> int:
+    """sum of mu[j] * #{(A[i], B[l]) of one length's halves : squares[j] |
+    A[i] + B[l] <= x, gcd(A[i] + B[l], b^3 - b) = 1}, squares increasing.
+
+    A group is one square with one length. In a block of consecutive groups
+    every A[i] gets the key (group, A[i] mod d^2, 0) and every B[l] the key
+    (group, -B[l] mod d^2, 1), packed into one uint64; one sort of the block
+    puts each B right after the A of its key, those with d^2 | A + B. The
+    block holds about _PAIR_KEYS keys, and at most 2**63 // d^2 groups so
+    that the packed key cannot wrap. The matched pairs, about #pairs / d^2
+    per square, are then tested by value.
+    """
+    sides = [_pair_side([a for a, _ in halves]), _pair_side([-c for _, c in halves])]
+    (a, _, _), (c, _, _) = sides
+    n_parts, n_groups = len(halves), len(squares) * len(halves)
+    modulus = int(squares[-1])
+    step = max(1, min(_PAIR_KEYS * n_parts // (len(a) + len(c)), _INT64_LIMIT // modulus))
+    out = 0
+    for g0 in range(0, n_groups, step):
+        g1 = min(g0 + step, n_groups)
+        (ka, fa), (kb, fb) = (_pair_keys(*side, squares, g0, g1, modulus) for side in sides)
+        keys = np.concatenate([ka << 1, (kb << 1) | 1])
+        order = np.argsort(keys)
+        keys = keys[order]
+        # the sorted places of the B that follow an entry of their own key
+        hit = np.flatnonzero(((keys[1:] ^ keys[:-1]) < 2) & (keys[1:] & 1 == 1)) + 1
+        first = np.searchsorted(keys, keys[hit] - 1)
+        count = np.searchsorted(keys, keys[hit]) - first  # the A of that key
+        total = int(count.sum())
+        if not total:
+            continue
+        # each pair's A and B as places in their sides' (square, value) grids
+        i = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(total)] + fa
+        l = order[np.repeat(hit, count)] - len(ka) + fb
+        high, low = a[i % len(a)], -c[l % len(c)]
+        ok = (low <= x - high) & (np.gcd(high + low, b**3 - b) == 1)
+        out += int(mu[g0 // n_parts + i[ok] // len(a)].sum())
+    return out
+
+
+def _pair_side(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts concatenated, with the part of each value and the start of
+    each part."""
+    sizes = [len(part) for part in parts]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    return np.concatenate(parts), np.repeat(np.arange(len(parts)), sizes), starts
+
+
+def _pair_keys(values, part, starts, squares, g0, g1, modulus):
+    """The keys (g - g0) * modulus + value mod squares[j] of the groups g in
+    [g0, g1) as uint64, group g = j * #parts + s standing for the values of
+    part s mod squares[j]; and the place of the first key in the grid of
+    (square, value) from square g0 // #parts on, where the groups are a run."""
+    n, n_parts = len(values), len(starts) - 1
+    j0, j1 = g0 // n_parts, -(-g1 // n_parts)
+    first = int(starts[g0 % n_parts])
+    last = (g1 // n_parts - j0) * n + int(starts[g1 % n_parts])
+    groups = (np.arange(j1 - j0)[:, None] * n_parts + part).ravel()[first:last]
+    groups -= g0 - j0 * n_parts
+    keys = groups * modulus
+    keys += (values % squares[j0:j1, None]).ravel()[first:last]
+    return keys.view(np.uint64), first
 
 
 def _mobius_multiples(batch: np.ndarray, squares: np.ndarray, mu: np.ndarray) -> int:

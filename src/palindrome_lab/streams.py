@@ -106,7 +106,9 @@ def _grid_blocks(b: int, segments, restricted: bool):
     flags the values of the block coprime to b**2 - 1.
     """
     m_mod = b * b - 1
-    coprime_residue = np.gcd(np.arange(m_mod), m_mod) == 1
+    # indexed by the sum of two residues mod b**2 - 1 (below 2 * 4095 for
+    # b <= 64, so int16), which spares a block-sized second reduction
+    coprime_residue = np.tile(np.gcd(np.arange(m_mod), m_mod) == 1, 2)
     for n_digits, half_lo, half_hi in segments:
         if half_lo >= half_hi or (restricted and n_digits % 2 == 0):
             continue  # b + 1 divides every even-length palindrome
@@ -131,9 +133,9 @@ def _grid_blocks(b: int, segments, restricted: bool):
                 high = _weighted_digits(rows[start : start + step], b, weights[: m - k])
                 keep = None
                 if restricted:
-                    residues = ((high % m_mod).astype(np.int64)[:, None]
-                                + (low % m_mod).astype(np.int64)[None, :])
-                    keep = coprime_residue[residues.ravel() % m_mod]
+                    residues = ((high % m_mod).astype(np.int16)[:, None]
+                                + (low % m_mod).astype(np.int16)[None, :])
+                    keep = coprime_residue[residues.ravel()]
                 yield high, low, keep
 
 

@@ -140,6 +140,99 @@ def test_mobius_walk_at_every_crossover(b, x):
         assert census._mobius_walk(b, x, k) == expected, k
 
 
+def _direct(b, x):
+    rec = census_up_to(b, x, check_identity=False)
+    return rec.total, rec.squarefree
+
+
+@pytest.mark.parametrize("b", range(2, 17))
+def test_mobius_census_at_every_split(b):
+    # residues, pairs and the walk each alone, then mixed splits: the same
+    # palindrome count and Mobius sum as the direct census
+    x = 1_234_567
+    root = math.isqrt(x)
+    expected = _direct(b, x)
+    for plan in ((root, root), (0, root), (0, 0), (1, 1), (3, root // 4),
+                 (root // 4, root // 2), (root // 2, root), (2, 10 * root)):
+        assert census._mobius_census(b, x, plan) == expected, plan
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 8).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1))),
+       st.data())
+def test_mobius_splits_match_the_direct_count(b, x, data):
+    # a short residue range and a walk over at most about 10**5 / d^2 * x
+    # multiples, so that any x <= 10**9 stays fast; the pairs take the rest
+    root = math.isqrt(x)
+    d1 = data.draw(st.integers(0, min(root, 40)))
+    d2 = data.draw(st.integers(min(max(d1, x // 10**5), root), root))
+    expected = _direct(b, x)
+    assert census._mobius_census(b, x, (d1, d2)) == expected
+    assert census._mobius_census(b, x, census._mobius_plan(b, x)) == expected
+
+
+def test_mobius_plan_regimes():
+    # the pair regime is empty where it would not pay, and takes the middle
+    # range of d at scale
+    for b, x in ((10, 10**4), (2, 100)):
+        d1, d2 = census._mobius_plan(b, x)
+        assert d1 == d2
+    for b, x in ((10, 10**12), (2, 10**12), (64, 10**12)):
+        d1, d2 = census._mobius_plan(b, x)
+        assert 1 <= d1 < 50 < 1000 < d2 < math.isqrt(x) // 10
+
+
+def test_census_catches_a_dropped_pair(monkeypatch):
+    # a pair regime that loses one matched pair moves the Mobius sum by the
+    # mu(d) of its square
+    b, x = 10, 10**7
+    d1, d2 = census._mobius_plan(b, x)
+    assert d1 < d2
+    real = census._mobius_pairs
+
+    def drops_one(b, x, halves, squares, mu):
+        for j, square in enumerate(squares.tolist()):
+            for a, c in halves:
+                n = a[:, None] + c[None, :]
+                if ((n % square == 0) & (n <= x) & (np.gcd(n, b**3 - b) == 1)).any():
+                    return real(b, x, halves, squares, mu) - int(mu[j])
+        raise AssertionError("no matched pair")
+
+    monkeypatch.setattr(census, "_mobius_pairs", drops_one)
+    with pytest.raises(ArithmeticError, match="mobius census identity failed"):
+        census_up_to(b, x)
+
+
+def test_pair_keys_do_not_wrap():
+    # squares of d near 2**30 and above 2**31: a key (group * d^2 + residue)
+    # over all 15 groups would pass 2**63, and from 2**31 on one group's
+    # packed key (with its side bit) passes it too
+    rng = np.random.default_rng(17)
+    b, x = 10, 2**63 - 1
+    d = [2**30 + 7, 2**30 + 9, 3 * 2**29 + 1, 2**31 + 11, math.isqrt(x)]
+    squares = np.array([v * v for v in d], dtype=np.int64)
+    mu = np.array([1, -1, 2, 3, -5], dtype=np.int64)  # weights that tell the squares apart
+    assert len(squares) * 3 * int(squares[0]) >= 2**63
+    halves = []
+    for _ in range(3):
+        c = rng.integers(0, 2**61, 40)
+        # A that some square pairs with some B, below or above x, and random A
+        k = rng.integers(1, 8, 40)
+        a = np.array([int(k[i]) * int(squares[i % 5]) - int(c[i]) for i in range(40)], dtype=object)
+        a = a[(a >= 0) & (a < 2**63)].astype(np.int64)
+        halves.append((np.concatenate([a, rng.integers(0, 2**62, 40)]), c))
+    expected = 0
+    for j, square in enumerate(squares.tolist()):
+        for a, c in halves:
+            for high in a.tolist():
+                for low in c.tolist():
+                    n = high + low
+                    if n % square == 0 and n <= x and math.gcd(n, b**3 - b) == 1:
+                        expected += int(mu[j])
+    assert expected != 0
+    assert census._mobius_pairs(b, x, halves, squares, mu) == expected
+
+
 @pytest.mark.parametrize("b,x,block", [(10, 10**5, 7), (2, 10**4, 3), (64, 10**6, 1000)])
 def test_restricted_multiples_blocks(monkeypatch, b, x, block):
     # small blocks split rows across blocks; the walk must still visit each
@@ -210,11 +303,13 @@ def test_s_b_multiples_matches_stream(b, x, d_dyadic):
 # fault there reaches only the direct count
 MOBIUS_ROUTE = ("q_star_mobius", "_mobius_census", "_primes", "_restricting_primes",
                 "_squarefree_coprime", "_mobius_plan", "_mobius_palindromes", "_mirror_up_to",
+                "_mirror", "_pair_lengths", "_pair_halves", "_mobius_pairs", "_pair_side",
+                "_pair_keys",
                 "_mobius_multiples", "_mobius_walk", "_restricted_multiples",
                 "_palindrome_mask")
 
 # the square-free test of the direct side, and the generator and the cut of
-# its grids; _mobius_plan may read streams.count_up_to, which only sets D
+# its grids (the route reads no other streams name either)
 MOBIUS_ROUTE_FORBIDDEN = {"arith", "batches_up_to", "grids_up_to", "grids_fixed_length",
                           "_segments_up_to", "_digit_weights", "_grid_blocks"}
 
@@ -441,6 +536,39 @@ def test_mobius_palindromes_match_scalar_mirror(b):
             batch = census._mirror_up_to(b, n_digits, lo, top, x)
             assert batch.dtype == np.int64
             assert batch.tolist() == _scalar_restricted(b, n_digits, lo, top, x), (x, n_digits)
+
+
+@pytest.mark.parametrize("b", range(2, 65))
+def test_pair_halves_sum_to_the_restricted_palindromes(b):
+    # at x = b**N - 1, b**N and b**N + 1 up to 10**6, the sums <= x coprime
+    # to b^3 - b of each length's halves are its restricted palindromes <= x,
+    # each once; at x = 2**63 - 1 every half is at most x
+    edges, n = set(), 1
+    while b**n + 1 < 10**6:
+        edges |= {b**n - 1, b**n, b**n + 1}
+        n += 1
+    for x in sorted(edges):
+        halves = census._pair_halves(b, x)
+        assert len(halves) == (len(to_digits(x, b)) + 1) // 2
+        for n_digits, (a, c) in zip(range(1, 64, 2), halves):
+            n = (a[:, None] + c[None, :]).ravel()
+            kept = sorted(n[(n <= x) & (np.gcd(n, b**3 - b) == 1)].tolist())
+            m = (n_digits + 1) // 2
+            assert kept == _scalar_restricted(b, n_digits, b ** (m - 1), b**m, x), (x, n_digits)
+    x = 2**63 - 1
+    for a, c in census._pair_halves(b, x):
+        assert a.dtype == c.dtype == np.int64
+        assert 0 < a.min() and a.max() <= x and 0 <= c.min() and c.max() <= x
+
+
+def test_pair_halves_are_balanced_after_the_cut():
+    # the last length at x = 1.05e10 keeps the half-prefixes 100000..105000:
+    # 50 rows of 100, not 5 of 1000
+    sizes = [(len(a), len(c)) for a, c in census._pair_halves(10, 10_500_000_000)]
+    assert sizes[-1] == (50, 100)
+    # the 5 half-prefix digits of a whole length split 3 + 2: 400 rows (those
+    # with a leading digit coprime to 10) of 100, not 40 of 1000
+    assert sizes[-2] == (400, 100)
 
 
 def test_restricted_batches_below_int64_limit_are_int64():
