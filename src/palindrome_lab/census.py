@@ -9,27 +9,25 @@ restricted palindromes <= x equals
 A checked census counts the left side and evaluates the right side, and the
 two must agree exactly, as must the two counts of the palindromes. The left
 side is arith.squarefree_grid on the digit-weight grids of the palindromes
-(streams.grids_up_to). The right side splits d in three regimes at
-crossovers D1 <= D2 that a cost model picks (_mobius_plan):
+(streams.grids_up_to). The right side writes each odd length's palindromes
+as the sums A + B of two halves, A over the leading digits of a half-prefix
+and B over the rest (the digit-weight factorization of Banks, Hart and
+Sakata). N_1 counts the sums <= x coprime to b^3 - b, tested by value; it
+is also the second count of the palindromes. The d > 1 fall in two regimes
+at a crossover D that a cost model picks (_mobius_plan):
 
-- d <= D1: the palindromes, mirrored here in int64 batches and cut at x by
-  value, are tested for each d^2. This pass also counts them.
-- D1 < d <= D2: each odd length's palindromes are the sums A + B of two
-  halves, A over the leading digits of a half-prefix and B over the rest
-  (the digit-weight factorization of Banks, Hart and Sakata). N_d counts
-  the pairs with A = -B mod d^2, found by one sort of both halves' residues
-  for a block of d; the few matched pairs are then cut at x and tested for
-  the restriction by value.
-- d > D2: the walk over the restricted multiples m*d^2 <= x keeps the
+- d <= D: N_d counts the pairs with A = -B mod d^2, found by one sort of
+  both halves' residues for a block of d; the few matched pairs are then cut
+  at x and tested for the restriction by value.
+- d > D: the walk over the restricted multiples m*d^2 <= x keeps the
   palindromes among them.
 
-The residues cost about #palindromes per d, the pairs about x^(1/4) per d,
-the walk about x / d^2, so the whole costs about x^(5/8), against x^(3/4)
-with two regimes. mu comes from a sieve of this module, the halves from a
-mirror of its own and the palindromes of the walk from a digit test of its
-own: the right side shares no code with arith's square-free test, and with
-the grids nothing but the idea of digit weights, neither their weights nor
-their cut at x. It needs x < 2**63.
+The pairs cost about x^(1/4) per d and the walk about x / d^2, so the whole
+costs about x^(5/8), and N_1 about x^(1/2). mu comes from a sieve of this
+module, the halves from a mirror of its own and the palindromes of the walk
+from a digit test of its own: the right side shares no code with arith's
+square-free test, and with the grids nothing but the idea of digit weights,
+neither their weights nor their cut at x. It needs x < 2**63.
 """
 
 from __future__ import annotations
@@ -94,21 +92,14 @@ def q_star_mobius(b: int, x: int) -> int:
     return _mobius_census(b, x, _mobius_plan(b, x))[1]
 
 
-def _mobius_census(b: int, x: int, plan: tuple[int, int]) -> tuple[int, int]:
-    """(#restricted palindromes <= x, the Mobius sum) for a plan (D1, D2)
-    of _mobius_plan: the d <= D1 by residues in the mirrored batches, the
-    d in (D1, D2] by pairs of halves, the d > D2 by the walk."""
-    d1, d2 = plan
-    d, mu = _squarefree_coprime(b, 1, d1 + 1)
-    squares = d * d
-    mirrored = via_mobius = 0
-    for batch in _mobius_palindromes(b, x):
-        mirrored += len(batch)
-        via_mobius += _mobius_multiples(batch, squares, mu)
-    d, mu = _squarefree_coprime(b, d1 + 1, min(d2, isqrt(x)) + 1)
-    if len(d):
-        via_mobius += _mobius_pairs(b, x, _pair_halves(b, x), d * d, mu)
-    return mirrored, via_mobius + _mobius_walk(b, x, d2)
+def _mobius_census(b: int, x: int, d_split: int) -> tuple[int, int]:
+    """(#restricted palindromes <= x, the Mobius sum) at a crossover
+    d_split >= 1: the count of the halves' sums is the d = 1 term, pairs of
+    the halves give the d in (1, d_split], the walk the d > d_split."""
+    halves = _pair_halves(b, x)
+    total = _pair_total(b, x, halves)
+    d, mu = _squarefree_coprime(b, 2, min(d_split, isqrt(x)) + 1)
+    return total, total + _mobius_pairs(b, x, halves, d * d, mu) + _mobius_walk(b, x, d_split)
 
 
 def _census(b: int, grids, restricted: bool, scope_kind: str, scope: int,
@@ -148,14 +139,14 @@ def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) 
     serial.
     """
     if check_identity:
-        plan = _mobius_plan(b, x)
+        d_split = _mobius_plan(b, x)
     rec = _census(b, grids_up_to(b, x, True), True, "up_to", x, density_constant(b)[0])
     if check_identity:
-        mirrored, via_mobius = _mobius_census(b, x, plan)
-        if mirrored != rec.total:
+        summed, via_mobius = _mobius_census(b, x, d_split)
+        if summed != rec.total:
             raise ArithmeticError(
                 f"palindrome counts disagree at b={b}, x={x}: "
-                f"grids={rec.total} batches={mirrored}"
+                f"grids={rec.total} halves={summed}"
             )
         if via_mobius != rec.squarefree:
             raise ArithmeticError(
@@ -172,24 +163,20 @@ def q_fixed_length(b: int, n_digits: int) -> CensusRecord:
 
 
 # ---------------------------------------------------------------------------
-# the Mobius side: multiples of d^2 by residues, pairs of halves and walks
+# the Mobius side: pairs of halves and walks over multiples of d^2
 # ---------------------------------------------------------------------------
 
 _INT64_LIMIT = 1 << 63
 
-# The (palindrome, d^2) pairs of one 2-D residue block, the half-prefixes
-# of one mirrored batch, the sort keys of one pair block, and the multiples
-# (and the d of one mu segment) of one walk block. A walk block keeps a few
-# arrays of its size alive at once, so it is the smaller. At these sizes the
-# peak memory of a census-scan pass is still set by the prime tables of its
-# wide square-free tests.
-_RESIDUE_BLOCK = 1 << 16
-_MIRROR_HALVES = 1 << 14
+# The sums of a block of the halves' rows or the keys of a pair block, and
+# the multiples (and the d of one mu segment) of a walk block, which keeps a
+# few arrays of its size alive at once. At these sizes the peak memory of a
+# census-scan pass is still set by the prime tables of its square-free tests.
 _PAIR_KEYS = 1 << 15
 _WALK_BLOCK = 1 << 14
 
-# The weights of the cost model of _mobius_plan, in residue tests; fitted
-# by timing (see there).
+# The weights of the cost model of _mobius_plan, in residue tests (one
+# d^2 | n test of a palindrome); fitted by timing (see there).
 _KEY_COST = 4
 _PAIR_COST = 16
 _WALK_COST = 4
@@ -231,96 +218,51 @@ def _squarefree_coprime(b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
     return d[keep], mu[keep]
 
 
-def _mobius_plan(b: int, x: int) -> tuple[int, int]:
-    """The crossovers (D1, D2) of the Mobius sum at x: residues count the
-    d <= D1, pairs of halves the d in (D1, D2], the walk the d > D2.
+def _mobius_plan(b: int, x: int) -> int:
+    """The crossover D of the Mobius sum at x: pairs of halves count the
+    d in (1, D], the walk the d > D.
 
-    Per eligible d, the residue regime tests the R restricted palindromes,
-    the pair regime sorts the K keys of the halves and tests the about
-    H / d^2 pairs that match (H the pairs of the halves), and the walk visits
-    about M / d^2 multiples (M = x times the share of m coprime to b^3 - b).
-    R is taken as H times the share of values coprime to b^2 - 1. With the
-    same density of eligible d in each regime, the cost is about
+    Per eligible d, the pairs sort the K keys of the halves and test the
+    about H / d^2 pairs that match (H the pairs of the halves); the walk
+    visits about M / d^2 multiples (M = x times the share of m coprime to
+    b^3 - b). The cost of the d > 1 is then about
 
-        R*D1 + k*K*(D2 - D1) + h*H*(1/D1 - 1/D2) + w*M/D2
+        k*K*D + h*H*(1 - 1/D) + w*M/D
 
-    residue tests, least at D1 = sqrt(h*H / (R - k*K)) and
-    D2 = sqrt((w*M - h*H) / (k*K)). When that costs more than the two
-    regimes at D1 = D2 = sqrt(w*M / R), or R <= k*K, the pair regime is
-    left empty, as it is at small x.
+    residue tests, least at D = sqrt((w*M - h*H) / (k*K)), capped to
+    [1, sqrt(x)].
 
     The weights k = _KEY_COST = 4, h = _PAIR_COST = 16 and w = _WALK_COST
-    = 4 were fitted by timing on a 2-core x86 host, where a residue test
-    took 6-10 ns, a sort key 30-38 ns, a matched pair 90-140 ns and a walked
-    multiple 30-95 ns (base 2, whose palindrome test compares the most digit
-    pairs, the slowest). Among the weights tried (k from 3 to 6, h from 8
-    to 32, w from 4 to 9), the plans of these timed within 5% of the best
-    in 12 of 15 cases (bases 2, 3, 7, 10, 16 and 64, x = 10^6 to 10^12) and
-    within 22% in all; the cost is flat near its least. They put D1 below
-    10 and D2 near x^(3/8) from x = 10^8 on, and leave the pair regime
-    empty at x = 10^6 in base 10.
+    = 4 were fitted by timing bases 2, 3, 7, 10, 16 and 64 at x = 10^6 to
+    10^12 on a 2-core x86 host (a residue test 6-10 ns, a sort key 30-38 ns,
+    a matched pair 90-140 ns, a walked multiple 30-95 ns, base 2 the
+    slowest), with a third regime below the pairs that tested each
+    palindrome for the d^2 up to a crossover under 10. Of the weights tried
+    (k 3-6, h 8-32, w 4-9), these planned within 5% of the best time in 12
+    of 15 cases and within 22% in all: the cost is flat near its least.
+    They put D near x^(3/8) from x = 10^8 on.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
     if x >= _INT64_LIMIT:
         raise OverflowError(f"the Mobius route needs x < 2**63, got {x}")
-    root = isqrt(x)
-    primes = _restricting_primes(b)
     lengths = _pair_lengths(b, x)
-    pairs = sum(rows * b**k for _, _, k, rows in lengths)
-    tested = pairs * math.prod(1 - 1 / p for p in primes if b % p)
     keys = _KEY_COST * sum(rows + b**k for _, _, k, rows in lengths)
-    matched = _PAIR_COST * pairs
-    walked = _WALK_COST * x * math.prod(1 - 1 / p for p in primes)
-
-    def cost(d1, d2):
-        d1, d2 = max(d1, 1), max(d2, 1)
-        return tested * d1 + keys * (d2 - d1) + matched * (1 / d1 - 1 / d2) + walked / d2
-
-    d = min(int(math.sqrt(walked / tested)), root)
-    plans = [(d, d)]
-    if tested > keys:
-        d2 = min(int(math.sqrt(max(walked - matched, 0) / keys)), root)
-        plans.append((min(int(math.sqrt(matched / (tested - keys))), d2), d2))
-    return min(plans, key=lambda plan: cost(*plan))
-
-
-def _mobius_palindromes(b: int, x: int):
-    """The restricted palindromes <= x (x < 2**63) in increasing int64
-    batches of at most _MIRROR_HALVES half-prefixes each."""
-    # odd lengths (b + 1 divides every even-length one) of at most 63 digits
-    for n_digits in range(1, _INT64_LIMIT.bit_length(), 2):
-        if b ** (n_digits - 1) > x:
-            return
-        m = (n_digits + 1) // 2
-        # a half-prefix h mirrors to at least h * b**(N - m)
-        top = min(b**m, x // b ** (n_digits - m) + 1)
-        for lo in range(b ** (m - 1), top, _MIRROR_HALVES):
-            batch = _mirror_up_to(b, n_digits, lo, min(lo + _MIRROR_HALVES, top), x)
-            if len(batch):
-                yield batch
-
-
-def _mirror_up_to(b: int, n_digits: int, half_lo: int, half_hi: int, x: int) -> np.ndarray:
-    """The N-digit palindromes <= x coprime to b^3 - b mirrored from the h in
-    [half_lo, half_hi), each with h * b**(N - m) <= x, as int64."""
-    high, low = _mirror(np.arange(half_lo, half_hi, dtype=np.int64), b, n_digits)
-    # high + low may pass 2**63 near x = 2**63, where int64 wraps silently;
-    # it is then above x, and low <= x - high drops it without reading it
-    n = high + low
-    return n[(low <= x - high) & (np.gcd(n, b**3 - b) == 1)]
+    matched = _PAIR_COST * sum(rows * b**k for _, _, k, rows in lengths)
+    walked = _WALK_COST * x * math.prod(1 - 1 / p for p in _restricting_primes(b))
+    return max(1, min(int(math.sqrt(max(walked - matched, 0) / keys)), isqrt(x)))
 
 
 def _mirror(h: np.ndarray, b: int, n_digits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(h * b**(N - m), the reversal of h without its middle digit): their
-    sum is the N-digit palindrome mirrored from each half-prefix h of m
-    digits, leading zeros included. Both parts are additive over digits."""
-    m = (n_digits + 1) // 2
-    tail = n_digits - m
+    """(h * b**(m - 1), the reversal of h // b over m - 1 digits): their sum
+    is the palindrome of odd length 2m - 1 mirrored from each m-digit
+    half-prefix h, leading zeros included; both are additive over digits."""
     low = np.zeros_like(h)
-    for j in range(m - tail, m):
-        low = low * b + h // b**j % b
-    return h * b**tail, low
+    rest = h // b  # the middle digit is not mirrored
+    for _ in range(n_digits // 2):
+        rest, digit = np.divmod(rest, b)
+        low = low * b + digit
+    return h * b ** (n_digits // 2), low
 
 
 def _pair_lengths(b: int, x: int) -> list[tuple[int, int, int, int]]:
@@ -364,10 +306,25 @@ def _pair_halves(b: int, x: int) -> list[tuple[np.ndarray, np.ndarray]]:
         place = b ** ((n_digits + 1) // 2 - k - 1)
         high = np.arange(place, -(-top // b**k), dtype=np.int64)
         high, low = _mirror(high[np.gcd(high // place, b) == 1] * b**k, b, n_digits)
-        keep = low <= x - high  # no wrap: high <= x, as in _mirror_up_to
+        keep = low <= x - high  # no wrap: high <= x
         halves.append((high[keep] + low[keep],
                        np.add(*_mirror(np.arange(b**k, dtype=np.int64), b, n_digits))))
     return halves
+
+
+def _pair_total(b: int, x: int, halves) -> int:
+    """#{(A[i], B[l]) of one length's halves : A[i] + B[l] <= x,
+    gcd(A[i] + B[l], b^3 - b) = 1} over the lengths, the restricted
+    palindromes <= x, in blocks of rows of about _PAIR_KEYS sums."""
+    out = 0
+    for a, c in halves:
+        step = max(1, _PAIR_KEYS // len(c))
+        for i in range(0, len(a), step):
+            high = a[i : i + step, None]
+            # a sum that passes 2**63 wraps silently in int64; it is then
+            # above x, and c <= x - high drops it without reading it
+            out += int(np.count_nonzero((c <= x - high) & (np.gcd(high + c, b**3 - b) == 1)))
+    return out
 
 
 def _mobius_pairs(b: int, x: int, halves, squares: np.ndarray, mu: np.ndarray) -> int:
@@ -385,13 +342,18 @@ def _mobius_pairs(b: int, x: int, halves, squares: np.ndarray, mu: np.ndarray) -
     sides = [_pair_side([a for a, _ in halves]), _pair_side([-c for _, c in halves])]
     (a, _, _), (c, _, _) = sides
     n_parts, n_groups = len(halves), len(squares) * len(halves)
-    modulus = int(squares[-1])
+    modulus = int(squares.max(initial=1))  # the last square, if any
     step = max(1, min(_PAIR_KEYS * n_parts // (len(a) + len(c)), _INT64_LIMIT // modulus))
     out = 0
     for g0 in range(0, n_groups, step):
         g1 = min(g0 + step, n_groups)
         (ka, fa), (kb, fb) = (_pair_keys(*side, squares, g0, g1, modulus) for side in sides)
-        keys = np.concatenate([ka << 1, (kb << 1) | 1])
+        n_a = len(ka)
+        # both sides' keys in one array, shifted in place for the side bit
+        keys = np.concatenate([ka, kb])
+        del ka, kb
+        keys <<= 1
+        keys[n_a:] |= 1
         order = np.argsort(keys)
         keys = keys[order]
         # the sorted places of the B that follow an entry of their own key
@@ -403,7 +365,7 @@ def _mobius_pairs(b: int, x: int, halves, squares: np.ndarray, mu: np.ndarray) -
             continue
         # each pair's A and B as places in their sides' (square, value) grids
         i = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(total)] + fa
-        l = order[np.repeat(hit, count)] - len(ka) + fb
+        l = order[np.repeat(hit, count)] - n_a + fb
         high, low = a[i % len(a)], -c[l % len(c)]
         ok = (low <= x - high) & (np.gcd(high + low, b**3 - b) == 1)
         out += int(mu[g0 // n_parts + i[ok] // len(a)].sum())
@@ -434,16 +396,6 @@ def _pair_keys(values, part, starts, squares, g0, g1, modulus):
     return keys.view(np.uint64), first
 
 
-def _mobius_multiples(batch: np.ndarray, squares: np.ndarray, mu: np.ndarray) -> int:
-    """sum of mu[j] * #{n in batch : squares[j] | n}, by 2-D residue blocks."""
-    step = max(1, _RESIDUE_BLOCK // len(batch))
-    out = 0
-    for start in range(0, len(squares), step):
-        divides = batch[:, None] % squares[None, start : start + step] == 0
-        out += int(np.count_nonzero(divides, axis=0) @ mu[start : start + step])
-    return out
-
-
 def _mobius_walk(b: int, x: int, d_split: int) -> int:
     """sum of mu(d) * N_d(x) over the d in (d_split, sqrt(x)], by walking
     the restricted multiples of each d^2 a segment of d at a time."""
@@ -465,8 +417,6 @@ def _restricted_multiples(b: int, x: int, squares: np.ndarray):
     from its index among them, and no block holds more than its share of a
     row.
     """
-    if x >= _INT64_LIMIT:
-        raise OverflowError(f"the multiples walk needs x < 2**63, got {x}")
     r = math.prod(_restricting_primes(b))
     units = np.flatnonzero(np.gcd(np.arange(r), r) == 1)
     last = x // squares  # the largest m of each row
@@ -573,6 +523,8 @@ def s_b(b: int, x: int, d_dyadic: int, strategy: str) -> int:
     """
     if x < 1 or d_dyadic < 1:
         raise ValueError("x and D must be >= 1")
+    if strategy in ("multiples", "both") and x >= _INT64_LIMIT:
+        raise OverflowError(f"the multiples strategy needs x < 2**63, got {x}")
     d_lo, d_hi = d_dyadic, 2 * d_dyadic
     if strategy == "stream":
         return _s_b_stream(b, x, d_lo, d_hi)

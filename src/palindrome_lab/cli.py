@@ -7,8 +7,8 @@ byte-identical for identical configurations.
 Handlers compute and return (rows, exit_code); main alone writes the rows to
 --output or stdout, and an error exit (rows = None) writes nothing. enumerate
 writes its unbounded, headerless stream itself and returns (None, code).
-Input out of a computation's range (a ValueError) exits 2 with one
-"palindrome-lab: <message>" line on stderr and writes nothing.
+Input out of a computation's range (a ValueError or OverflowError) exits 2
+with one "palindrome-lab: <message>" line on stderr and writes nothing.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ def cmd_census(args):
             records.append(census.census_up_to(args.base, args.max))
         if args.digits is not None:
             records.append(census.q_fixed_length(args.base, args.digits))
+    except OverflowError:
+        raise  # out of range, not a failed identity
     except ArithmeticError as exc:
         print(f"census: {exc}", file=sys.stderr)
         return None, 1
@@ -73,8 +75,9 @@ def cmd_census(args):
 
 
 def cmd_sbd(args):
-    via_stream = census.s_b(args.base, args.max, args.d, strategy="stream")
+    # the multiples strategy first: it refuses x >= 2**63 before any work
     via_multiples = census.s_b(args.base, args.max, args.d, strategy="multiples")
+    via_stream = census.s_b(args.base, args.max, args.d, strategy="stream")
     row = dict(base=args.base, x=args.max, d_dyadic=args.d,
                count_stream=via_stream, count_multiples=via_multiples)
     return [row], 0 if via_stream == via_multiples else 1
@@ -232,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         rows, code = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
     if rows is not None:

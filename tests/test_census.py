@@ -147,60 +147,63 @@ def _direct(b, x):
 
 @pytest.mark.parametrize("b", range(2, 17))
 def test_mobius_census_at_every_split(b):
-    # residues, pairs and the walk each alone, then mixed splits: the same
+    # every d > 1 walked, every d paired, then mixed splits: the same
     # palindrome count and Mobius sum as the direct census
     x = 1_234_567
     root = math.isqrt(x)
     expected = _direct(b, x)
-    for plan in ((root, root), (0, root), (0, 0), (1, 1), (3, root // 4),
-                 (root // 4, root // 2), (root // 2, root), (2, 10 * root)):
-        assert census._mobius_census(b, x, plan) == expected, plan
+    for d_split in (1, root, 2, 3, 5, root // 4, root // 2, root - 1, 10 * root):
+        assert census._mobius_census(b, x, d_split) == expected, d_split
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 16), st.integers(0, 8).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1))),
        st.data())
 def test_mobius_splits_match_the_direct_count(b, x, data):
-    # a short residue range and a walk over at most about 10**5 / d^2 * x
-    # multiples, so that any x <= 10**9 stays fast; the pairs take the rest
+    # a walk over at most about 10**5 / d^2 * x multiples, so that any
+    # x <= 10**9 stays fast; the pairs take the rest
     root = math.isqrt(x)
-    d1 = data.draw(st.integers(0, min(root, 40)))
-    d2 = data.draw(st.integers(min(max(d1, x // 10**5), root), root))
+    d_split = data.draw(st.integers(min(max(1, x // 10**5), root), root))
     expected = _direct(b, x)
-    assert census._mobius_census(b, x, (d1, d2)) == expected
+    assert census._mobius_census(b, x, d_split) == expected
     assert census._mobius_census(b, x, census._mobius_plan(b, x)) == expected
 
 
 def test_mobius_plan_regimes():
-    # the pair regime is empty where it would not pay, and takes the middle
-    # range of d at scale
-    for b, x in ((10, 10**4), (2, 100)):
-        d1, d2 = census._mobius_plan(b, x)
-        assert d1 == d2
-    for b, x in ((10, 10**12), (2, 10**12), (64, 10**12)):
-        d1, d2 = census._mobius_plan(b, x)
-        assert 1 <= d1 < 50 < 1000 < d2 < math.isqrt(x) // 10
+    # one crossover in [1, sqrt(x)]; at scale the pairs take the d up to
+    # about x^(3/8), well inside that range
+    for b in (2, 3, 10, 64):
+        for x in (1, 2, 100, 10**4, 10**6, 10**9, 10**12, 2**63 - 1):
+            d_split = census._mobius_plan(b, x)
+            assert isinstance(d_split, int)
+            assert 1 <= d_split <= math.isqrt(x), (b, x)
+    for b in (2, 10, 64):
+        x = 10**12
+        assert 1000 < census._mobius_plan(b, x) < math.isqrt(x) // 10, b
 
 
 def test_census_catches_a_dropped_pair(monkeypatch):
     # a pair regime that loses one matched pair moves the Mobius sum by the
-    # mu(d) of its square
-    b, x = 10, 10**7
-    d1, d2 = census._mobius_plan(b, x)
-    assert d1 < d2
+    # mu(d) of its square: d = 7 in base 10, and d = 5 in base 3, the
+    # smallest d coprime to b^3 - b in each
     real = census._mobius_pairs
+    dropped = []
 
     def drops_one(b, x, halves, squares, mu):
         for j, square in enumerate(squares.tolist()):
             for a, c in halves:
                 n = a[:, None] + c[None, :]
                 if ((n % square == 0) & (n <= x) & (np.gcd(n, b**3 - b) == 1)).any():
+                    dropped.append((b, square))
                     return real(b, x, halves, squares, mu) - int(mu[j])
         raise AssertionError("no matched pair")
 
     monkeypatch.setattr(census, "_mobius_pairs", drops_one)
-    with pytest.raises(ArithmeticError, match="mobius census identity failed"):
-        census_up_to(b, x)
+    for b, x in ((10, 10**7), (3, 10**7)):
+        assert census._mobius_plan(b, x) >= 7
+        with pytest.raises(ArithmeticError, match="mobius census identity failed"):
+            census_up_to(b, x)
+    assert dropped == [(10, 49), (3, 25)]
 
 
 def test_pair_keys_do_not_wrap():
@@ -302,11 +305,9 @@ def test_s_b_multiples_matches_stream(b, x, d_dyadic):
 # the Mobius route of a checked census: it must not read arith, so that a
 # fault there reaches only the direct count
 MOBIUS_ROUTE = ("q_star_mobius", "_mobius_census", "_primes", "_restricting_primes",
-                "_squarefree_coprime", "_mobius_plan", "_mobius_palindromes", "_mirror_up_to",
-                "_mirror", "_pair_lengths", "_pair_halves", "_mobius_pairs", "_pair_side",
-                "_pair_keys",
-                "_mobius_multiples", "_mobius_walk", "_restricted_multiples",
-                "_palindrome_mask")
+                "_squarefree_coprime", "_mobius_plan", "_mirror", "_pair_lengths",
+                "_pair_halves", "_pair_total", "_mobius_pairs", "_pair_side", "_pair_keys",
+                "_mobius_walk", "_restricted_multiples", "_palindrome_mask")
 
 # the square-free test of the direct side, and the generator and the cut of
 # its grids (the route reads no other streams name either)
@@ -462,7 +463,7 @@ def test_census_identity_guard(monkeypatch):
 
 
 def test_census_up_to_streams_once(monkeypatch):
-    # one pass over the grids and one over the Mobius route's own batches
+    # one pass over the grids, and one set of halves for the Mobius route
     opened = []
 
     def counting(name, generator):
@@ -472,11 +473,10 @@ def test_census_up_to_streams_once(monkeypatch):
         return opens
 
     monkeypatch.setattr(census, "grids_up_to", counting("grids", grids_up_to))
-    monkeypatch.setattr(census, "_mobius_palindromes",
-                        counting("mirror", census._mobius_palindromes))
+    monkeypatch.setattr(census, "_pair_halves", counting("halves", census._pair_halves))
     rec = census_up_to(10, 10**4, check_identity=True)
     assert (rec.total, rec.squarefree) == (25, 24)
-    assert sorted(opened) == ["grids", "mirror"]
+    assert sorted(opened) == ["grids", "halves"]
 
 
 @pytest.mark.parametrize("b,x,total", [(10, 123456789, 4110), (3, 5 * 10**6, 762)])
@@ -504,38 +504,49 @@ def _scalar_restricted(b, n_digits, half_lo, half_hi, x):
             if (n := palindrome_from_half(h, b, n_digits)) <= x and math.gcd(n, b**3 - b) == 1]
 
 
-def _last_half(b, n_digits, x):
-    """The largest N-digit half-prefix h with h * b**(N - m) <= x, plus one,
-    which is where the Mobius route stops mirroring."""
-    m = (n_digits + 1) // 2
-    return min(b**m, x // b ** (n_digits - m) + 1)
+def _last_rows(b, x, halves, rows, lows):
+    """The halves of the last two lengths at x, trimmed to their last rows of
+    A and their last lows of B, with the count of the restricted palindromes
+    <= x among each row's sums by palindrome_from_half. The last rows are
+    those of the largest high < top / b**k whose leading digit is coprime to
+    b and whose mirror (of high * b**k) is <= x."""
+    out = []
+    for (n_digits, top, k, _), (a, c) in zip(census._pair_lengths(b, x)[-2:],
+                                             halves[-2:]):
+        place = b ** ((n_digits + 1) // 2 - k - 1)
+        highs, high = [], -(-top // b**k) - 1
+        while len(highs) < rows and high >= place:
+            if (math.gcd(high // place, b) == 1
+                    and palindrome_from_half(high * b**k, b, n_digits) <= x):
+                highs.append(high)
+            high -= 1
+        expected = [sum(1 for low in range(max(b**k - lows, 0), b**k)
+                        if (n := palindrome_from_half(high * b**k + low, b, n_digits)) <= x
+                        and math.gcd(n, b**3 - b) == 1) for high in reversed(highs)]
+        out.append((a[-rows:], c[-lows:], expected))
+    return out
 
 
 @pytest.mark.parametrize("b", range(2, 65))
 def test_mobius_palindromes_match_scalar_mirror(b):
-    # x at b**N - 1, b**N and b**N + 1 for every N below 2**63, and 2**63 - 1:
-    # the whole generator where x <= 10**6, and the last 200 half-prefixes
-    # of each of the two digit lengths at x everywhere
+    # the palindrome total of the Mobius route at x = b**N - 1, b**N and
+    # b**N + 1 for every N below 2**63, and 2**63 - 1: every palindrome
+    # where x <= 10**6, and the last 3 rows by the last 40 lows of the last
+    # two lengths' halves everywhere
     edges = {2**63 - 1}
     n = 1
     while b**n + 1 < 2**63:
         edges |= {b**n - 1, b**n, b**n + 1}
         n += 1
     for x in sorted(edges):
-        x_digits = len(to_digits(x, b))
+        halves = census._pair_halves(b, x)
         if x <= 10**6:
-            batches = list(census._mobius_palindromes(b, x))
-            assert all(batch.dtype == np.int64 and len(batch) for batch in batches)
-            expected = [n for n_digits in range(1, x_digits + 1)
+            expected = [n for n_digits in range(1, len(to_digits(x, b)) + 1)
                         for n in _scalar_restricted(b, n_digits, b ** ((n_digits - 1) // 2),
                                                     b ** ((n_digits + 1) // 2), x)]
-            assert [n for batch in batches for n in batch.tolist()] == expected, x
-        for n_digits in range(max(1, x_digits - 1), x_digits + 1):
-            top = _last_half(b, n_digits, x)
-            lo = max(b ** ((n_digits - 1) // 2), top - 200)
-            batch = census._mirror_up_to(b, n_digits, lo, top, x)
-            assert batch.dtype == np.int64
-            assert batch.tolist() == _scalar_restricted(b, n_digits, lo, top, x), (x, n_digits)
+            assert census._pair_total(b, x, halves) == len(expected), x
+        for a, c, expected in _last_rows(b, x, halves, 3, 40):
+            assert census._pair_total(b, x, [(a, c)]) == sum(expected), x
 
 
 @pytest.mark.parametrize("b", range(2, 65))
@@ -572,33 +583,45 @@ def test_pair_halves_are_balanced_after_the_cut():
 
 
 def test_restricted_batches_below_int64_limit_are_int64():
-    # runs of 1..4 half-prefixes ending at the last one tried at x = 2**63 - 1,
-    # in its digit length N and in N - 1. In 26 bases the last one of N
-    # digits mirrors to 2**63 or more, where int64 arithmetic wraps
+    # the last 1..4 rows by the last 200 lows of the last two lengths' halves
+    # at x = 2**63 - 1. In 26 bases the last half-prefix tried mirrors to
+    # 2**63 or more, where int64 arithmetic wraps; a row's sums run past its
+    # last half-prefix, and in 24 bases one of them wraps. The total must
+    # not count it
     x = 2**63 - 1
-    wrapped = set()
+    wrapped, sums_wrap = set(), set()
     for b in range(2, 65):
         x_digits = len(to_digits(x, b))
         for n_digits in (x_digits - 1, x_digits):
-            top = _last_half(b, n_digits, x)
+            m = (n_digits + 1) // 2
+            top = min(b**m, x // b ** (n_digits - m) + 1)
             if palindrome_from_half(top - 1, b, n_digits) > x:
                 wrapped.add(b)
-            for count in range(1, 5):
-                lo = max(top - count, b ** ((n_digits - 1) // 2))
-                batch = census._mirror_up_to(b, n_digits, lo, top, x)
-                assert batch.dtype == np.int64
-                assert batch.tolist() == _scalar_restricted(b, n_digits, lo, top, x), (b, count)
+        for a, c, expected in _last_rows(b, x, census._pair_halves(b, x), 4, 200):
+            assert a.dtype == c.dtype == np.int64
+            for count in range(1, len(a) + 1):
+                assert (census._pair_total(b, x, [(a[-count:], c)])
+                        == sum(expected[-count:])), (b, count)
+            if (a[:, None] + c[None, :] < 0).any():
+                sums_wrap.add(b)
     assert len(wrapped) == 26
+    assert len(sums_wrap) == 24
 
 
 def test_census_palindrome_counts_must_agree(monkeypatch):
     # grids that lose their last block (the 5-digit palindromes <= 10**5)
-    # count fewer palindromes than the mirrored batches of the Mobius route
+    # count fewer palindromes than the halves of the Mobius route, and a
+    # total of the halves that is off by one counts one more than the grids
     total = census_up_to(10, 10**5).total
     real = census.grids_up_to
     monkeypatch.setattr(census, "grids_up_to", lambda b, x, r: list(real(b, x, r))[:-1])
     assert census_up_to(10, 10**5, check_identity=False).total < total
     with pytest.raises(ArithmeticError, match="palindrome counts disagree"):
+        census_up_to(10, 10**5)
+    monkeypatch.undo()
+    real_total = census._pair_total
+    monkeypatch.setattr(census, "_pair_total", lambda b, x, halves: real_total(b, x, halves) + 1)
+    with pytest.raises(ArithmeticError, match=f"grids={total} halves={total + 1}"):
         census_up_to(10, 10**5)
 
 

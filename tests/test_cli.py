@@ -149,6 +149,9 @@ def test_csv_quoting_is_rfc4180(tmp_path):
     (["census", "--base", "10"], 2),
     (["k2", "--a1", "3", "--a2", "5", "--c", "1", "--check-identity"], 2),
     (["enumerate", "--base", "10", "--max", "5", "--digits", "2"], 2),
+    # out of range (an OverflowError): refused before any output
+    (["enumerate", "--base", "10", "--max", str(2**127 + 1)], 2),
+    (["census", "--base", "10", "--max", "1000", "--digits", "40"], 2),
 ])
 def test_error_exits_create_no_output_file(argv, code, tmp_path, capsys):
     path = tmp_path / "out"
@@ -162,6 +165,16 @@ def test_error_exits_create_no_output_file(argv, code, tmp_path, capsys):
      "direct evaluation refused for c=3000000 > 2000000"),
     (["census", "--base", "10", "--max", "0"], "x must be >= 1"),
     (["sbd", "--base", "1", "--max", "100", "--d", "2"], "base must be in [2, 64], got 1"),
+    # OverflowError: the int64 routes refuse x >= 2**63 before any work, the
+    # streams x > 2**127 and b**N > 2**127
+    (["sbd", "--base", "10", "--max", str(2**63), "--d", "3"],
+     f"the multiples strategy needs x < 2**63, got {2**63}"),
+    (["census", "--base", "10", "--max", str(2**63)],
+     f"the Mobius route needs x < 2**63, got {2**63}"),
+    (["census", "--base", "10", "--digits", "40"], "b**N exceeds the 2**127 stream bound"),
+    (["enumerate", "--base", "10", "--max", str(2**127 + 1)], "x exceeds the 2**127 stream bound"),
+    (["discrepancy", "--base", "10", "--max", str(2**127 + 1), "--d-max", "3"],
+     "x exceeds the 2**127 stream bound"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
     path = tmp_path / "out"
