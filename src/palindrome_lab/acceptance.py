@@ -271,8 +271,8 @@ def _render(results) -> str:
 
 def criterion_determinism(rendered: str | None = None) -> CriterionResult:
     # every run of the quick payload in one process must render the same
-    # bytes; a rerun meets warm caches (the prime table, K2's inverse and
-    # root-of-unity arrays), so cached state must not leak into a report.
+    # bytes; a rerun meets warm caches (the prime table, K2's inverse-square
+    # and root-of-unity arrays), so cached state must not leak into a report.
     # `rendered` is a quick payload this process has already rendered
     # (verify-all --quick passes its own rows 1-9), which spares one run
     one = report_payload(quick=True) if rendered is None else rendered

@@ -475,7 +475,7 @@ def _palindrome_mask(values: np.ndarray, b: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _s_b_stream(b: int, x: int, d_lo: int, d_hi: int) -> int:
-    squares = [d * d for d in range(d_lo, d_hi + 1) if d * d <= x]
+    squares = [d * d for d in range(d_lo, min(d_hi, isqrt(x)) + 1)]
     if not squares:
         return 0
     count = 0
@@ -506,8 +506,8 @@ def s_b_costs(b: int, x: int, d_dyadic: int) -> tuple[int, int]:
     each d^2 <= x (an upper bound for the walk, which visits only the
     restricted ones)."""
     cost_stream = count_up_to(b, x) * (d_dyadic + 1)
-    cost_multiples = sum(x // (d * d) + 1 for d in range(d_dyadic, 2 * d_dyadic + 1)
-                         if d * d <= x)
+    cost_multiples = sum(x // (d * d) + 1
+                         for d in range(d_dyadic, min(2 * d_dyadic, isqrt(x)) + 1))
     return cost_stream, cost_multiples
 
 

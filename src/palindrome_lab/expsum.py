@@ -68,26 +68,41 @@ class ExpSumParams:
 
 @lru_cache(maxsize=64)
 def _k2_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inverses, roots) for a modulus c >= 2, read-only arrays:
-    inverses[x] = x^(-1) mod c, or -1 when x is not a unit, and
-    roots[j] = e(j/c) as cmath.exp gives it."""
-    phi = c
-    for p in arith.factorize(c):
-        phi -= phi // p
-    # x^(phi-1) is the inverse of a unit x, by square-and-multiply in int64
-    # (every product is below c^2)
-    x = np.arange(c, dtype=np.int64)
-    inverses = np.ones(c, dtype=np.int64)
-    power, e = x.copy(), phi - 1
+    """(inverse_squares, roots) for a modulus c >= 2, read-only arrays:
+    inverse_squares[x] = x^(-2) mod c, or -1 when x is not a unit, and
+    roots[j] = e(j/c) with the bits of cmath.exp(TWO_PI * 1j * j / c).
+
+    x^(-2) = x^(lambda - 2) for a unit x, with lambda = lambda(c) the
+    Carmichael function, by square-and-multiply in int64 over the units
+    alone (every product is below c^2). For a purely imaginary argument
+    cmath.exp returns exp(0) * cos and exp(0) * sin of the same angle,
+    exp(0) = 1.0 exactly, so libm's cos and sin (math.cos, math.sin) of the
+    angles TWO_PI * j / c give its roots bit for bit on any platform. numpy
+    does not promise libm's bits: its own cos and sin loops may vary with
+    the CPU and the build, and its complex arithmetic forms about a fifth
+    of the angles TWO_PI * 1j * j / c differently."""
+    lam = 1
+    units = np.ones(c, dtype=bool)
+    for p, alpha in arith.factorize(c).items():
+        lam_p = 2 ** (alpha - 2) if p == 2 and alpha >= 3 else p ** (alpha - 1) * (p - 1)
+        lam = lam * lam_p // gcd(lam, lam_p)
+        units[::p] = False
+    x = np.flatnonzero(units)
+    squares = np.ones(len(x), dtype=np.int64)
+    power, e = x, (lam - 2) % lam
     while e:
         if e & 1:
-            inverses = inverses * power % c
+            squares = squares * power % c
         power = power * power % c
         e >>= 1
-    inverses[np.gcd(x, c) != 1] = -1
-    roots = np.array([cmath.exp(TWO_PI * 1j * j / c) for j in range(c)])
-    inverses.flags.writeable = roots.flags.writeable = False
-    return inverses, roots
+    inverse_squares = np.full(c, -1, dtype=np.int64)
+    inverse_squares[x] = squares
+    angles = (TWO_PI * np.arange(c) / c).tolist()
+    roots = np.empty(c, dtype=np.complex128)
+    roots.real = np.fromiter(map(math.cos, angles), np.float64, c)
+    roots.imag = np.fromiter(map(math.sin, angles), np.float64, c)
+    inverse_squares.flags.writeable = roots.flags.writeable = False
+    return inverse_squares, roots
 
 
 K2_DIRECT_LIMIT = 2 * 10**6
@@ -96,10 +111,12 @@ K2_DIRECT_LIMIT = 2 * 10**6
 def k2_full(params: ExpSumParams) -> complex:
     """Direct O(c) evaluation of K2; phases reduced mod c in exact integers.
 
-    The arguments are reduced mod c first, so every int64 product stays below
-    c^2 <= 4*10**12. The roots of unity are added from x = 0 upwards, each to
-    the running total (np.cumsum, not the pairwise np.sum), which gives the
-    bits of a plain Python loop.
+    The arguments are reduced mod c first and the tables hold the inverse
+    squares themselves, so a term's phase a1 x + a2 xbar^2 + a3 ybar^2 is
+    a sum of three int64 products each below c^2, reduced by one % c; the
+    sum stays below 3c^2 <= 1.2*10**13. The roots of unity are added from
+    x = 0 upwards, each to the running total (np.cumsum, not the pairwise
+    np.sum), which gives the bits of a plain Python loop.
     """
     c = params.c
     if c > K2_DIRECT_LIMIT:
@@ -110,13 +127,11 @@ def k2_full(params: ExpSumParams) -> complex:
     if c == 1:
         return 1.0 + 0.0j
     a1, a2, a3, q = (v % c for v in (params.a1, params.a2, params.a3, params.q))
-    inverses, roots = _k2_tables(c)
-    # y = x + q; its inverse is inverses[(x + q) mod c]
-    iy = np.roll(inverses, -q)
-    units = (inverses >= 0) & (iy >= 0)
-    x = np.flatnonzero(units)
-    ix, iy = inverses[units], iy[units]
-    phase = (a1 * x + a2 * (ix * ix % c) + a3 * (iy * iy % c)) % c
+    squares, roots = _k2_tables(c)
+    # y = x + q; its inverse square is squares[(x + q) mod c]
+    sy = np.roll(squares, -q)
+    x = np.flatnonzero((squares >= 0) & (sy >= 0))
+    phase = (a1 * x + a2 * squares[x] + a3 * sy[x]) % c
     terms = np.zeros(len(x) + 1, dtype=np.complex128)
     terms[1:] = roots[phase]
     total = complex(np.cumsum(terms)[-1])

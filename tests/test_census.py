@@ -1,5 +1,6 @@
 import ast
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -377,6 +378,23 @@ def test_s_b_zero_beyond_sqrt():
     # no d^2 <= x once D^2 > x
     assert s_b(10, 10**4, 101, "both") == 0
     assert s_b(2, 100, 11, "both") == 0
+
+
+@pytest.mark.parametrize("strategy", ("stream", "multiples", "both"))
+def test_s_b_stops_d_at_sqrt_x(strategy):
+    # d runs to min(2D, isqrt(x)), so a D far beyond sqrt(x) walks no d
+    start = time.perf_counter()
+    assert s_b(10, 10**6, 10**12, strategy) == 0
+    assert time.perf_counter() - start < 1
+
+
+def test_s_b_costs_stop_d_at_sqrt_x():
+    start = time.perf_counter()
+    costs = census.s_b_costs(10, 10**6, 10**12)
+    assert time.perf_counter() - start < 1
+    assert costs == (streams.count_up_to(10, 10**6) * (10**12 + 1), 0)
+    # the probes of the d <= sqrt(x) still count
+    assert census.s_b_costs(10, 100, 9)[1] == 100 // 81 + 1 + 100 // 100 + 1
 
 
 def test_s_b_bounded_by_total():

@@ -93,6 +93,14 @@ def test_sbd(tmp_path):
     assert row[3] == "1" and row[4] == "1"
 
 
+def test_sbd_past_sqrt_x(tmp_path):
+    # D = 10^12 at x = 10^6: no d^2 <= x, so both counts are 0 at once
+    code, text = run_cli(["sbd", "--base", "10", "--max", "1000000",
+                          "--d", "1000000000000"], tmp_path)
+    assert code == 0
+    assert text.splitlines()[1] == "10,1000000,1000000000000,0,0"
+
+
 def test_k2_identity(tmp_path):
     code, text = run_cli(["k2", "--a1", "1", "--a2", "1", "--a3", "-1",
                           "--q", "1", "--c", "64", "--check-identity"], tmp_path)

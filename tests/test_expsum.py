@@ -5,6 +5,7 @@ import random
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -62,7 +63,8 @@ def sequential_k2(a1, a2, a3, q, c):
     return total / math.sqrt(c)
 
 
-@pytest.mark.parametrize("c", (1, 2, 3, 4, 97, 2048, 2**12, 30030, 5**3 * 7**3))
+@pytest.mark.parametrize(
+    "c", (1, 2, 3, 4, 8, 97, 486, 2048, 2**12, 2**14, 30030, 5**3 * 7**3))
 def test_k2_full_equals_sequential_sum(c):
     # reduced mod c before any int64 product and summed in loop order, the
     # vectorised sum keeps every bit, with arguments far above c
@@ -70,6 +72,53 @@ def test_k2_full_equals_sequential_sum(c):
     for _ in range(2 if c > 10**4 else 6):
         args = [rng.randrange(-10**15, 10**15) for _ in range(4)]
         assert k2_full(ExpSumParams(*args, c)) == sequential_k2(*args, c), args
+
+
+def test_sequential_comparison_sees_one_ulp(monkeypatch):
+    # the bit comparison above can fail: the imaginary part of one root of
+    # c = 97 moved by one ulp changes k2_full's bits. The root is that of
+    # the last term added; the running total absorbs most earlier ones
+    tables = expsum._k2_tables
+    args = (1, 0, 0, 0)
+
+    def moved(c):
+        squares, roots = tables(c)
+        roots = roots.copy()
+        roots[96] = complex(roots[96].real, np.nextafter(roots[96].imag, 1.0))
+        return squares, roots
+
+    assert k2_full(ExpSumParams(*args, 97)) == sequential_k2(*args, 97)
+    monkeypatch.setattr(expsum, "_k2_tables", moved)
+    assert k2_full(ExpSumParams(*args, 97)) != sequential_k2(*args, 97)
+
+
+# the moduli of perfbench's kloosterman-survey
+SURVEY_MODULI = (2**12, 2**14, 3**8, 3**9, 5**6, 7**5, 11**4, 13**4,
+                 10**4, 2 * 3 * 5 * 7 * 11 * 13, 2**6 * 3**5, 12**4, 5**3 * 7**3)
+
+
+def test_k2_tables_against_cmath_exp_and_pow():
+    # roots: libm's cos and sin of the angle give cmath.exp's bits, compared
+    # as integers so that the sign of a zero counts too (step * j / c is
+    # TWO_PI * 1j * j / c, evaluated left to right). Inverse squares to
+    # c = 2000, which covers lambda(c) = 1 and 2 (c | 24) and the halved
+    # lambda of 2^a, a >= 3: pow(x, -2, c) itself to c = 300, above it the
+    # one s in [0, c) with s x^2 = 1 mod c, which is the same value
+    step = expsum.TWO_PI * 1j
+    for c in (*range(2, 3001), *SURVEY_MODULI, 2**18):
+        squares, roots = expsum._k2_tables.__wrapped__(c)
+        expected = np.fromiter(map(cmath.exp, [step * j / c for j in range(c)]),
+                               np.complex128, c)
+        assert np.array_equal(roots.view(np.uint64), expected.view(np.uint64)), c
+        if c <= 300:
+            expected = [pow(x, -2, c) if gcd(x, c) == 1 else -1 for x in range(c)]
+            assert squares.tolist() == expected, c
+        elif c <= 2000:
+            x = np.arange(c)
+            units = np.gcd(x, c) == 1
+            s = squares[units]
+            assert (squares[~units] == -1).all() and (0 <= s).all() and (s < c).all(), c
+            assert (s * x[units] % c * x[units] % c == 1).all(), c
 
 
 def test_k2_zero_coefficients_give_totient():
