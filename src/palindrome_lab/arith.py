@@ -3,8 +3,7 @@
 Everything here works on plain Python integers (exact, arbitrary precision);
 factorization is only supported below 2**127. squarefree_grid applies the
 square-free test to a grid of palindromes high[i] + low[j] at once (the
-census kernel); squarefree_mask applies it to a numpy int64 array by dense
-division alone.
+census kernel), and with one column to a plain array, by dense division.
 """
 
 from __future__ import annotations
@@ -423,30 +422,12 @@ def _square_free_after(values, hits) -> np.ndarray:
     return ~square_divisor
 
 
-def squarefree_mask(values: np.ndarray) -> np.ndarray:
-    """is_squarefree over an array of values >= 1, as a boolean array.
-
-    An int64 array is tested as a whole, by the rule is_squarefree uses,
-    dividing every value by every prime up to the cube root of the largest.
-    Any other dtype (values of 2**63 and above come as Python ints in an
-    object array) is tested value by value.
-    """
-    if values.dtype != np.int64:
-        return np.array([is_squarefree(n) for n in values.tolist()], dtype=bool)
-    if len(values) == 0:
-        return np.ones(0, dtype=bool)
-    if values.min() < 1:
-        raise ValueError("squarefree_mask requires values >= 1")
-    primes = _prime_table_to(_icbrt(int(values.max())))
-    return _square_free_after(values, _dense_hits(values, primes))
-
-
 def squarefree_grid(high: np.ndarray, low: np.ndarray, coprime_to: int = 1) -> np.ndarray:
     """is_squarefree over the grid of values high[i] + low[j] >= 1, row by
     row, as a flat boolean array; exact on the values coprime to coprime_to,
     whose primes are not tried.
 
-    An int64 grid is tested by the rule of squarefree_mask, with the primes
+    An int64 grid is tested by the rule of is_squarefree, with the primes
     below _grid_crossover divided into every value and those from it on
     found by the meet-in-the-middle search of _grid_hits. An object grid
     (values of 2**63 and above) is tested value by value, and only on the

@@ -47,8 +47,11 @@ from .streams import batches_up_to, count_up_to, grids_fixed_length, grids_up_to
 
 ZETA2_INV = 6 / math.pi**2
 
-# residue histograms larger than this are refused
 _DISCREPANCY_CELL_LIMIT = 10**7
+
+
+class DiscrepancyLimitError(MemoryError, ValueError):
+    """equidistribution_discrepancy refuses a d^2 above _DISCREPANCY_CELL_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -551,10 +554,11 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
 
         sup_{y <= x} max_a | #{n <= y : n = a mod d^2} - #{n <= y} / d^2 |
 
-    over restricted palindromes n. The counting function is a step function,
-    so the supremum is realized at palindrome breakpoints; deviations are
-    tracked as exact integers scaled by d^2. threads is accepted for
-    compatibility and ignored.
+    over restricted palindromes n, at each palindrome's step t, scaled by
+    d^2 to integers. A stable sort of the residues ranks each palindrome in
+    its class: the excess c*d^2 - t peaks where a class's c-th member comes,
+    and t - (least count)*d^2 just before every class gains one more. Time
+    O(N log N) per d, memory O(N) for N palindromes; threads is ignored.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -563,33 +567,21 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
     eligible = _squarefree_coprime(b, 2, d_max + 1)[0].tolist()
     for d in eligible:
         if d * d > _DISCREPANCY_CELL_LIMIT:
-            raise MemoryError(f"residue histogram of size {d*d} exceeds the budget")
+            raise DiscrepancyLimitError(f"residue histogram of size {d*d} exceeds the budget")
     pals = np.concatenate(list(batches_up_to(b, x, True)))  # holds 1, so never empty
 
     def worst_for(d: int) -> Fraction:
-        # counts only grow by one, so the largest count is tracked as it
-        # grows and the smallest through the number of cells holding it
         dd = d * d
-        counts = [0] * dd
-        top = low = 0
-        at_low = dd
-        best_scaled = 0  # max over breakpoints of dd*|count_a - seen/dd|
-        for seen, residue in enumerate((pals % dd).tolist(), 1):
-            c = counts[residue] + 1
-            counts[residue] = c
-            if c > top:
-                top = c
-            if c == low + 1:
-                at_low -= 1
-                if at_low == 0:
-                    low = c
-                    at_low = counts.count(low)
-            hi = top * dd - seen
-            lo = seen - low * dd
-            step_best = hi if hi > lo else lo
-            if step_best > best_scaled:
-                best_scaled = step_best
-        return Fraction(best_scaled, dd)
+        residues = (pals % dd).astype(np.int64, copy=False)
+        order = np.argsort(residues, kind="stable")
+        starts = np.flatnonzero(np.diff(residues[order], prepend=-1))
+        sizes = np.diff(starts, append=len(pals))
+        rank = np.arange(len(pals)) - np.repeat(starts, sizes)
+        high = int(((rank + 1) * dd - order).max()) - 1
+        steps = np.arange(sizes.min() if len(starts) == dd else 0)
+        before = order[starts[:, None] + steps].max(axis=0)
+        low = max([len(pals) - len(steps) * dd, *(before - steps * dd).tolist()])
+        return Fraction(max(high, low), dd)
 
     worsts = map_in_order(worst_for, eligible)
     return float(sum(worsts, Fraction(0)))

@@ -493,6 +493,8 @@ def bound_campaign(seed: int, count: int) -> list[tuple[str, int, BoundCheckRepo
     """The seeded bound-check campaign: count random specs checked against
     4M/m, then count checked against 8KM/sqrt(r), all drawn from one rng.
     Rows are (family, index, report)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     out = []
     for i in range(count):

@@ -17,7 +17,6 @@ from palindrome_lab.arith import (
     kth_residue_solutions,
     mobius,
     squarefree_grid,
-    squarefree_mask,
 )
 from palindrome_lab.streams import _grid_blocks, _segments_up_to
 
@@ -37,7 +36,7 @@ def naive_mobius_sieve(limit):
     return mu
 
 
-# the cube root of 2**63, the largest limit squarefree_mask asks for
+# the cube root of 2**63, the largest limit squarefree_grid asks for
 PRIME_LIMITS = (10**4, 10007, 2 * 10**4 + 1, 10**6, 2_097_151)
 
 
@@ -231,6 +230,19 @@ INT64_VALUES = st.one_of(
 )
 
 
+MODEL_GRID_COST = arith._GRID_COST
+
+
+def squarefree_mask(values):
+    # the square-free test of a plain array by dense division alone: a grid
+    # of one column, whose crossover is inf at the model's cost (the tests
+    # that patch the cost to 0 would have it search for every prime)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_GRID_COST", MODEL_GRID_COST)
+        assert arith._grid_crossover(len(values), 1) == float("inf")
+        return squarefree_grid(values, np.zeros(1, dtype=values.dtype))
+
+
 @given(st.lists(INT64_VALUES, min_size=1, max_size=30))
 def test_squarefree_mask_matches_scalar(values):
     mask = squarefree_mask(np.array(values, dtype=np.int64))
@@ -244,9 +256,6 @@ def test_squarefree_mask_exhaustive_and_wide():
     p, q = 2000003, 3000017
     wide = np.array([p * p * q, 2**64 + 1, 3 * 2**70], dtype=object)
     assert squarefree_mask(wide).tolist() == [False, True, False]
-    assert squarefree_mask(np.zeros(0, dtype=np.int64)).tolist() == []
-    with pytest.raises(ValueError):
-        squarefree_mask(np.array([5, 0], dtype=np.int64))
 
 
 def _kernel_against_mask(b, segment, restricted):
@@ -269,7 +278,7 @@ def _segment_window(b, n_digits, at, size):
 
 # the search for every prime (P = 0), dense division only (P = inf), and the
 # crossover of the cost model
-GRID_COSTS = pytest.mark.parametrize("grid_cost", (0, 10**9, arith._GRID_COST),
+GRID_COSTS = pytest.mark.parametrize("grid_cost", (0, 10**9, MODEL_GRID_COST),
                                      ids=("all-search", "all-dense", "model"))
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import time
 from fractions import Fraction
@@ -53,6 +54,7 @@ def test_q_star_direct_examples():
     assert q_star_direct(2, 10**4) == 77
     assert q_star_direct(3, 10**5) == 118
     assert q_star_direct(10, 10**6) == 254
+    assert census_up_to(10, 10**6).squarefree == 254
 
 
 @pytest.mark.parametrize(
@@ -350,6 +352,7 @@ def test_q_fixed_length_examples():
     rec = q_fixed_length(3, 4)
     assert (rec.squarefree, rec.total) == (0, 6)  # all divisible by 4
     assert rec.predicted == pytest.approx(ZETA2_INV)
+    assert q_fixed_length(10, 5).total == 900
 
 
 def test_s_b_examples():
@@ -428,27 +431,60 @@ def test_discrepancy_examples():
     assert equidistribution_discrepancy(10, 10**4, 13) == pytest.approx(28688 / 8281)
 
 
+@functools.cache
 def _discrepancy_by_rescan(b, x, d_max):
-    # the definition, rescanning every residue cell after each palindrome
-    pals = list(stream_up_to(b, x, restricted=True))
-    total = Fraction(0)
+    # the definition: every residue count after each palindrome, as cumulative
+    # sums of one-hot rows. Also the kinds of d seen: the side that sets the
+    # supremum ("high": a count above seen/d^2, "low": one below it), where
+    # a winning low side peaks, d^2 above the palindrome count, and every
+    # class holding two or more
+    pals = np.array(list(stream_up_to(b, x, restricted=True)), dtype=np.int64)
+    seen = np.arange(1, len(pals) + 1)
+    total, kinds = Fraction(0), set()
     for d in range(2, d_max + 1):
         if math.gcd(d, b**3 - b) != 1 or not is_squarefree(d):
             continue
         dd = d * d
-        counts = [0] * dd
-        best = 0
-        for seen, n in enumerate(pals, 1):
-            counts[n % dd] += 1
-            best = max(best, max(counts) * dd - seen, seen - min(counts) * dd)
-        total += Fraction(best, dd)
-    return float(total)
+        counts = np.cumsum(np.eye(dd, dtype=np.int64)[pals % dd], axis=0)
+        high = int((counts.max(axis=1) * dd - seen).max())
+        lows = seen - counts.min(axis=1) * dd
+        low = int(lows.max())
+        total += Fraction(max(high, low), dd)
+        if low <= high:
+            kinds.add("high")
+        elif counts[-1].min() == 0:
+            kinds.add("low, a class empty")
+        else:
+            kinds.add("low, at the last step" if low == lows[-1] else "low, earlier")
+        if dd > len(pals):
+            kinds.add("sparse")
+        if counts[-1].min() >= 2:
+            kinds.add("every class twice")
+    return float(total), kinds
 
 
-@pytest.mark.parametrize("b,x,d_max", [(10, 10**4, 13), (10, 10**6, 31), (2, 10**6, 30),
-                                       (3, 10**5, 25), (7, 10**5, 20)])
+RESCAN_CASES = [(10, 10**4, 13), (10, 10**6, 31), (2, 10**6, 30), (3, 10**5, 25),
+                (7, 10**5, 20), (10, 10**6, 7), (2, 10**5, 5), (3, 3 * 10**5, 7),
+                (8, 10**4, 5), (64, 10**5, 20)]
+
+
+@pytest.mark.parametrize("b,x,d_max", RESCAN_CASES)
 def test_discrepancy_matches_rescan(b, x, d_max):
-    assert equidistribution_discrepancy(b, x, d_max) == _discrepancy_by_rescan(b, x, d_max)
+    assert equidistribution_discrepancy(b, x, d_max) == _discrepancy_by_rescan(b, x, d_max)[0]
+
+
+def test_discrepancy_rescan_cases_cover_both_sides():
+    # a wrong low or high side shows in these cases only if they hold d of
+    # every kind
+    kinds = set().union(*(_discrepancy_by_rescan(*case)[1] for case in RESCAN_CASES))
+    assert kinds == {"high", "low, a class empty", "low, at the last step", "low, earlier",
+                     "sparse", "every class twice"}
+
+
+@given(st.integers(2, 64), st.integers(1, 10**5), st.data())
+def test_discrepancy_matches_rescan_in_every_base(b, x, data):
+    d_max = data.draw(st.integers(1, min(20, math.isqrt(x))))
+    assert equidistribution_discrepancy(b, x, d_max) == _discrepancy_by_rescan(b, x, d_max)[0]
 
 
 def test_discrepancy_monotone_in_dmax():
@@ -641,13 +677,3 @@ def test_census_palindrome_counts_must_agree(monkeypatch):
     monkeypatch.setattr(census, "_pair_total", lambda b, x, halves: real_total(b, x, halves) + 1)
     with pytest.raises(ArithmeticError, match=f"grids={total} halves={total + 1}"):
         census_up_to(10, 10**5)
-
-
-def test_reports_do_not_call_the_dense_mask(monkeypatch):
-    # squarefree_mask is the tests' reference for the grid kernel only
-    def refused(values):
-        raise AssertionError("squarefree_mask on a report path")
-
-    monkeypatch.setattr(arith, "squarefree_mask", refused)
-    assert (census_up_to(10, 10**6).squarefree, q_star_direct(2, 10**4)) == (254, 77)
-    assert q_fixed_length(10, 5).total == 900
