@@ -1,9 +1,10 @@
-"""Exact integer arithmetic: primality, factorization, Mobius, power residues, CRT.
+"""Exact integer arithmetic: primality, factorization, Mobius, cube roots, CRT.
 
 Everything here works on plain Python integers (exact, arbitrary precision);
-factorization is only supported below 2**127. squarefree_grid applies the
-square-free test to a grid of palindromes high[i] + low[j] at once (the
-census kernel), and with one column to a plain array, by dense division.
+factorization, and with it the cube roots mod q, is supported below 2**127.
+squarefree_grid applies the square-free test to a grid of palindromes
+high[i] + low[j] at once (the census kernel), and with one column to a plain
+array, by dense division.
 """
 
 from __future__ import annotations
@@ -16,18 +17,11 @@ import numpy as np
 
 FACTOR_LIMIT = 1 << 127
 
-# k-th residues mod a prime power above this are supported only for an odd
-# prime p <= this bound that does not divide k (the bound of a scan mod p).
-EXHAUSTIVE_PRIME_POWER_LIMIT = 10**6
-
-# Deterministic Miller-Rabin witness set, valid for n < 3.3*10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases, a deterministic Miller-Rabin witness set below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
-
-
-class UnsupportedModulusError(ValueError):
-    """A k-th power residue computation hit an unsupported prime power."""
-
 
 # ---------------------------------------------------------------------------
 # prime table (a read-only int64 array, grown by replacement; safe to share)
@@ -491,20 +485,17 @@ def crt_combine(residues: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# k-th power residues (unit solutions of w**k = a mod q)
+# cube roots (unit solutions of w**3 = a mod q)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1 << 12)
-def _root_constants(k: int, p: int):
-    """What the roots of w**k = a mod a prime p need of (k, p) alone:
-    1/k mod p - 1 when gcd(k, p - 1) = 1; for k = 3 and p = 1 (mod 3) the
-    Adleman-Manders-Miller constants (t, s, z, zeta, z^-1, u, v) of
-    _cube_roots_mod_p; None otherwise."""
+def _root_constants(p: int):
+    """What the cube roots mod a prime p need of p alone: 1/3 mod p - 1 when
+    p != 1 (mod 3); for p = 1 (mod 3) the Adleman-Manders-Miller constants
+    (t, s, z, zeta, z^-1, u, v) of _cube_roots_mod_p."""
     n = p - 1
-    if gcd(k, n) == 1:
-        return pow(k, -1, n)
-    if k != 3:
-        return None
+    if n % 3:
+        return pow(3, -1, n)
     # p - 1 = 3**s * t with 3 not dividing t
     t, s = n, 0
     while t % 3 == 0:
@@ -523,14 +514,18 @@ def _root_constants(k: int, p: int):
 
 
 def _cube_roots_mod_p(a: int, p: int) -> list[int]:
-    """The cube roots of a unit a mod a prime p = 1 (mod 3), by
-    Adleman-Manders-Miller: a discrete logarithm in the 3-Sylow subgroup,
-    found one base-3 digit at a time, gives one root; the cube roots of
-    unity give the other two."""
+    """The cube roots of a unit a mod a prime p.
+
+    For p != 1 (mod 3) cubing permutes the units, and a**(1/3 mod p-1) is
+    the one root. For p = 1 (mod 3), by Adleman-Manders-Miller: a discrete
+    logarithm in the 3-Sylow subgroup, found one base-3 digit at a time,
+    gives one root; the cube roots of unity give the other two."""
     n = p - 1
+    if n % 3:
+        return [pow(a, _root_constants(p), p)]
     if pow(a, n // 3, p) != 1:
         return []
-    t, s, z, zeta, z_inv, u, v = _root_constants(3, p)
+    t, s, z, zeta, z_inv, u, v = _root_constants(p)
     # a**t = z**e; digit i of e is read off (a**t * z**-e_low)**(3**(s-1-i)),
     # which is zeta**digit
     b, e = pow(a, t, p), 0
@@ -542,43 +537,27 @@ def _cube_roots_mod_p(a: int, p: int) -> list[int]:
     return [root, root * zeta % p, root * zeta * zeta % p]
 
 
-def _roots_mod_p(a: int, k: int, p: int) -> list[int]:
-    """The roots of w**k = a mod a prime p, for a unit a."""
-    if gcd(k, p - 1) == 1:
-        # w -> w**k permutes the units; its inverse is w -> w**(1/k mod p-1)
-        return [pow(a, _root_constants(k, p), p)]
-    if k == 3:
-        return _cube_roots_mod_p(a, p)
-    return [w for w in range(1, p) if pow(w, k, p) == a]
-
-
-def _prime_power_roots(a: int, k: int, p: int, alpha: int) -> list[int]:
-    """The unit roots of w**k = a mod p**alpha: the roots mod p, lifted one
-    power of p at a time. A root mod p**j lifts by Newton's step when p does
-    not divide k (then k*w**(k-1) is a unit); otherwise every w + t*p**j,
-    t < p, is tried."""
-    if p**alpha > EXHAUSTIVE_PRIME_POWER_LIMIT and (
-            p == 2 or k % p == 0 or p > EXHAUSTIVE_PRIME_POWER_LIMIT):
-        raise UnsupportedModulusError(
-            f"k-th residues unsupported for prime power {p}**{alpha} with k={k}"
-        )
+def _prime_power_roots(a: int, p: int, alpha: int) -> list[int]:
+    """The unit cube roots of a mod p**alpha: the roots mod p, lifted one
+    power of p at a time. For p != 3 by Newton's step (3*w**2 is a unit mod
+    p, p = 2 included); for p = 3 every w + t*3**j, t < 3, is tried."""
     if a % p == 0:
         return []
-    roots = _roots_mod_p(a % p, k, p)
+    roots = _cube_roots_mod_p(a % p, p)
     pj = p
     for _ in range(alpha - 1):
         pj_next = pj * p
         a_next = a % pj_next
-        if k % p:
+        if p != 3:
             lifted = []
             for w in roots:
-                fw = (pow(w, k, pj_next) - a_next) % pj_next
-                step = fw // pj * pow(k * pow(w, k - 1, p) % p, -1, p) % p
+                fw = (pow(w, 3, pj_next) - a_next) % pj_next
+                step = fw // pj * pow(3 * w * w % p, -1, p) % p
                 lifted.append((w - step * pj) % pj_next)
             roots = lifted
         else:
             roots = [v for w in roots for v in range(w, pj_next, pj)
-                     if pow(v, k, pj_next) == a_next]
+                     if pow(v, 3, pj_next) == a_next]
         pj = pj_next
     return roots
 
@@ -597,20 +576,20 @@ def _crt_plan(q: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def kth_residue_solutions(a: int, k: int, q: int) -> list[int]:
-    """All unit residues w mod q with w**k = a (mod q), sorted.
+    """All unit residues w mod q with w**k = a (mod q), sorted, for k = 3
+    and every modulus 2 <= q < 2**127; any other k raises ValueError.
 
     Solved per prime power (the roots mod p, lifted to p**alpha) and then
-    glued with the Chinese remainder theorem. A prime power above 10**6
-    raises UnsupportedModulusError when p = 2, p divides k or p > 10**6.
+    glued with the Chinese remainder theorem.
     """
+    if k != 3:
+        raise ValueError(f"only cube roots are solved, got k={k}")
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
     a %= q
     glued = [0]
     for p, alpha, pa, e in _crt_plan(q):
-        roots = _prime_power_roots(a % pa, k, p, alpha)
+        roots = _prime_power_roots(a % pa, p, alpha)
         if not roots:
             return []
         glued = [(c + w * e) % q for c in glued for w in roots]

@@ -47,12 +47,6 @@ from .streams import batches_up_to, count_up_to, grids_fixed_length, grids_up_to
 
 ZETA2_INV = 6 / math.pi**2
 
-_DISCREPANCY_CELL_LIMIT = 10**7
-
-
-class DiscrepancyLimitError(MemoryError, ValueError):
-    """equidistribution_discrepancy refuses a d^2 above _DISCREPANCY_CELL_LIMIT."""
-
 
 @dataclass(frozen=True)
 class CensusRecord:
@@ -340,7 +334,7 @@ def _mobius_pairs(b: int, x: int, halves, squares: np.ndarray, mu: np.ndarray) -
     puts each B right after the A of its key, those with d^2 | A + B. The
     block holds about _PAIR_KEYS keys, and at most 2**63 // d^2 groups so
     that the packed key cannot wrap. The matched pairs, about #pairs / d^2
-    per square, are then tested by value.
+    per square, are then tested by value, about _PAIR_KEYS at a time.
     """
     sides = [_pair_side([a for a, _ in halves]), _pair_side([-c for _, c in halves])]
     (a, _, _), (c, _, _) = sides
@@ -363,15 +357,20 @@ def _mobius_pairs(b: int, x: int, halves, squares: np.ndarray, mu: np.ndarray) -
         hit = np.flatnonzero(((keys[1:] ^ keys[:-1]) < 2) & (keys[1:] & 1 == 1)) + 1
         first = np.searchsorted(keys, keys[hit] - 1)
         count = np.searchsorted(keys, keys[hit]) - first  # the A of that key
-        total = int(count.sum())
-        if not total:
-            continue
-        # each pair's A and B as places in their sides' (square, value) grids
-        i = order[np.repeat(first - np.cumsum(count) + count, count) + np.arange(total)] + fa
-        l = order[np.repeat(hit, count)] - n_a + fb
-        high, low = a[i % len(a)], -c[l % len(c)]
-        ok = (low <= x - high) & (np.gcd(high + low, b**3 - b) == 1)
-        out += int(mu[g0 // n_parts + i[ok] // len(a)].sum())
+        ends = np.cumsum(count)
+        offset = first - ends + count  # a pair's place in keys, less its index
+        # the pairs of whole hits, a run from each hit holding pair r * _PAIR_KEYS
+        cuts = np.searchsorted(ends, np.arange(0, int(count.sum()), _PAIR_KEYS), side="right")
+        cuts = np.unique(cuts).tolist()
+        for h0, h1 in zip(cuts, [*cuts[1:], len(hit)]):
+            run = count[h0:h1]
+            pairs = np.arange(ends[h0] - run[0], ends[h1 - 1])
+            # each pair's A and B as places in their sides' (square, value) grids
+            i = order[np.repeat(offset[h0:h1], run) + pairs] + fa
+            l = order[np.repeat(hit[h0:h1], run)] - n_a + fb
+            high, low = a[i % len(a)], -c[l % len(c)]
+            ok = (low <= x - high) & (np.gcd(high + low, b**3 - b) == 1)
+            out += int(mu[g0 // n_parts + i[ok] // len(a)].sum())
     return out
 
 
@@ -558,16 +557,14 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
     d^2 to integers. A stable sort of the residues ranks each palindrome in
     its class: the excess c*d^2 - t peaks where a class's c-th member comes,
     and t - (least count)*d^2 just before every class gains one more. Time
-    O(N log N) per d, memory O(N) for N palindromes; threads is ignored.
+    O(N log N) per d, memory O(N) for N palindromes whatever d^2 is, so
+    every d_max <= sqrt(x) is answered; threads is ignored.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     if d_max * d_max > x:
         raise ValueError("d_max must be <= sqrt(x)")
     eligible = _squarefree_coprime(b, 2, d_max + 1)[0].tolist()
-    for d in eligible:
-        if d * d > _DISCREPANCY_CELL_LIMIT:
-            raise DiscrepancyLimitError(f"residue histogram of size {d*d} exceeds the budget")
     pals = np.concatenate(list(batches_up_to(b, x, True)))  # holds 1, so never empty
 
     def worst_for(d: int) -> Fraction:

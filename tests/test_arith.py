@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from math import gcd
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from palindrome_lab import arith, census
 from palindrome_lab.arith import (
-    UnsupportedModulusError,
     crt_combine,
     factorize,
     is_probable_prime,
@@ -156,6 +156,37 @@ def test_primality_large():
     assert is_probable_prime(2**89 - 1)  # Mersenne prime
     assert not is_probable_prime(2**89 + 1)
     assert not is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
+
+
+# psi_t, the least strong pseudoprime to the first t prime bases, t = 1..13
+# (Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86,
+# 2017): psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_psi_are_composite():
+    # each psi_t passes Miller-Rabin to the first t prime bases, so a witness
+    # set of only those calls it prime
+    primes = arith.primes_up_to(41)
+    for t, n in enumerate(PSI, 1):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        assert not any(arith._mr_witness(n, d, s, a) for a in primes[:t]), t
+        assert not is_probable_prime(n), t
+
+
+def test_psi_12_and_13_factor_and_mobius():
+    psi12, psi13 = PSI[11], PSI[12]
+    assert factorize(psi12) == {399165290221: 1, 798330580441: 1}
+    assert factorize(psi13) == {1287836182261: 1, 2575672364521: 1}
+    assert all(map(is_probable_prime, (399165290221, 798330580441,
+                                       1287836182261, 2575672364521)))
+    assert mobius(psi12) == 1
+    assert mobius(2 * psi12) == -1
+    assert is_squarefree(psi12)
 
 
 def test_mobius_examples():
@@ -365,71 +396,137 @@ def test_icbrt_at_cubes_and_their_neighbours(n):
 
 def test_kth_residue_examples():
     assert kth_residue_solutions(1, 3, 7) == [1, 2, 4]
-    assert kth_residue_solutions(2, 2, 8) == []
-    assert kth_residue_solutions(4, 2, 2**10) == []
     assert kth_residue_solutions(1, 3, 3**6) == [1, 244, 487]
+    assert kth_residue_solutions(5, 3, 8) == [5]
+    assert kth_residue_solutions(2, 3, 9) == []
     # the only unit mod 2 is 1, so solutions exist exactly for odd a
-    for k in (1, 2, 3, 5):
-        assert kth_residue_solutions(3, k, 2) == [1]
-        assert kth_residue_solutions(4, k, 2) == []
+    assert kth_residue_solutions(3, 3, 2) == [1]
+    assert kth_residue_solutions(4, 3, 2) == []
 
 
-def brute_roots(a, k, q):
-    return sorted(w for w in range(1, q) if gcd(w, q) == 1 and pow(w, k, q) == a % q)
+@pytest.mark.parametrize("k", (-3, 0, 1, 2, 4, 5, 6, 9))
+def test_kth_residue_refuses_other_exponents(k):
+    with pytest.raises(ValueError, match="only cube roots"):
+        kth_residue_solutions(1, k, 7)
 
 
-@pytest.mark.parametrize("k", (2, 3))
-def test_kth_residue_matches_bruteforce_small(k):
+def brute_roots(a, q):
+    return sorted(w for w in range(1, q) if gcd(w, q) == 1 and pow(w, 3, q) == a % q)
+
+
+def test_kth_residue_matches_bruteforce_small():
     for q in range(2, 500):
         power_map = {}
         for w in range(1, q):
             if gcd(w, q) == 1:
-                power_map.setdefault(pow(w, k, q), []).append(w)
+                power_map.setdefault(pow(w, 3, q), []).append(w)
         for a in range(q):
-            assert kth_residue_solutions(a, k, q) == power_map.get(a, []), (a, k, q)
+            assert kth_residue_solutions(a, 3, q) == power_map.get(a, []), (a, q)
 
 
 def test_kth_residue_matches_bruteforce_sampled():
     rng = random.Random(5)
     for _ in range(150):
         q = rng.randrange(500, 10**4)
-        k = rng.choice((2, 3))
         a = rng.randrange(q)
-        assert kth_residue_solutions(a, k, q) == brute_roots(a, k, q)
+        assert kth_residue_solutions(a, 3, q) == brute_roots(a, q)
 
 
 def test_kth_residue_interleaved_exponents_and_moduli():
     # the CRT plan is cached per modulus; with an odd number of moduli taken
-    # in turn and k alternating, each modulus is revisited with both k and
-    # fresh residues, and must see neither the last k nor the last a
+    # in turn, each modulus is revisited with fresh residues, cubes and not,
+    # and must not see the last a; a refused k between the calls leaves no
+    # trace either
     rng = random.Random(11)
     moduli = (2 * 5 * 7 * 13, 2**3 * 3**2 * 7, 11**2 * 19, 997, 4 * 7 * 11**2)
     for i in range(400):
         q = moduli[i % len(moduli)]
-        k = 2 + i % 2
-        a = pow(rng.randrange(1, q), k, q) if i % 4 < 2 else rng.randrange(q)
-        assert kth_residue_solutions(a, k, q) == brute_roots(a, k, q), (a, k, q)
+        a = pow(rng.randrange(1, q), 3, q) if i % 4 < 2 else rng.randrange(q)
+        assert kth_residue_solutions(a, 3, q) == brute_roots(a, q), (a, q)
+        with pytest.raises(ValueError):
+            kth_residue_solutions(a, 2, q)
 
 
 def test_kth_residue_hensel_path():
-    # prime powers above the exhaustive limit exercise lifting from mod p
-    assert 5**9 > arith.EXHAUSTIVE_PRIME_POWER_LIMIT
+    # Newton's step lifts the roots mod 5 to 5**9; mod 3**13 the three lifts
+    # of each root mod 3**j are tried
     assert kth_residue_solutions(9, 3, 5**9) == [1863694]
     pa = 3**13
-    got = kth_residue_solutions(7, 2, pa)
-    for w in got:
-        assert pow(w, 2, pa) == 7 % pa
-    assert got == brute_roots(7, 2, pa)
+    for a in (11, 8, pow(2021, 3, pa)):
+        got = kth_residue_solutions(a, 3, pa)
+        assert all(pow(w, 3, pa) == a for w in got)
+        assert got == _cube_roots_by_scan(a, pa), a
+    assert len(got) == 3
 
 
-def test_kth_residue_unsupported():
-    with pytest.raises(UnsupportedModulusError):
-        kth_residue_solutions(1, 2, 2**21)  # p = 2 beyond exhaustive range
-    with pytest.raises(UnsupportedModulusError):
-        kth_residue_solutions(1, 3, 3**14)  # p | k beyond exhaustive range
-    big_prime = 1000003
-    with pytest.raises(UnsupportedModulusError):
-        kth_residue_solutions(1, 3, big_prime**2)
+def _cube_root_count(a, q):
+    # multiplicative over q's prime powers: 1 per 2**alpha, per 3 and per
+    # p = 2 (mod 3), where cubing permutes the units; per 3**alpha (alpha >=
+    # 2) 3 when a = +-1 (mod 9), else 0; per p = 1 (mod 3) 3 when a is a
+    # cube mod p by Euler's criterion, else 0
+    count = 1
+    for p, alpha in factorize(q).items():
+        if a % p == 0:
+            return 0
+        if p == 3 and alpha >= 2:
+            count *= 3 if a % 9 in (1, 8) else 0
+        elif p % 3 == 1:
+            count *= 3 if pow(a, (p - 1) // 3, p) == 1 else 0
+    return count
+
+
+def _unit_near(r, q):
+    while gcd(r, q) != 1:
+        r += 1
+    return r
+
+
+def _check_cube_roots(a, q, roots, seeded=None):
+    assert roots == sorted(set(roots))
+    assert all(pow(w, 3, q) == a % q and gcd(w, q) == 1 for w in roots)
+    assert len(roots) == _cube_root_count(a, q), (a, q)
+    if seeded is not None:
+        assert seeded % q in roots
+
+
+# prime powers above 10**6 on each route: p = 2 (Newton's step from w = 1),
+# p = 3 (the lifts tried) and p > 10**6, above any scan mod p; no scan of
+# Z/q here passes 2 * 10**7
+ONCE_REFUSED = (2**20, 2**21, 3**13, 3**14, 1000003, 1000033, 1000003**2)
+
+
+def test_cube_roots_on_moduli_once_refused():
+    for q in ONCE_REFUSED:
+        rng = random.Random(q)
+        seeded = [_unit_near(rng.randrange(1, q), q) for _ in range(3)]
+        cases = [(pow(r, 3, q), r) for r in seeded] + [(r, None) for r in seeded]
+        cases += [(1, 1), (q - 1, q - 1), (2, None)]
+        if q <= 2 * 10**7:
+            # one scan of the units' cubes serves every a
+            w = np.arange(q, dtype=np.int64)
+            w = w[np.gcd(w, q) == 1]
+            cubes = w * w % q * w % q
+        for a, r in cases:
+            roots = kth_residue_solutions(a, 3, q)
+            _check_cube_roots(a, q, roots, seeded=r)
+            if q <= 2 * 10**7:
+                assert roots == w[cubes == a].tolist(), (a, q)
+
+
+@pytest.mark.parametrize("q", (3**80, 2**126, (2**61 - 1) * (10**9 + 7) * 7**5))
+def test_cube_roots_on_wide_moduli(q):
+    # the first call factorizes q into the cached CRT plan; the roots
+    # themselves take under 5 ms a call
+    kth_residue_solutions(1, 3, q)
+    rng = random.Random(q)
+    for _ in range(3):
+        r = _unit_near(rng.randrange(1, q), q)
+        a = pow(r, 3, q)
+        start = time.perf_counter()
+        roots = kth_residue_solutions(a, 3, q)
+        elapsed = time.perf_counter() - start
+        _check_cube_roots(a, q, roots, seeded=r)
+        assert elapsed < 5e-3, elapsed
 
 
 def _v3(n):
@@ -483,14 +580,12 @@ def test_cube_roots_below_1e6_match_euler_criterion():
         assert kth_residue_solutions(0, 3, p) == []
 
 
-def _fresh_root_constants(k, p):
-    # the values _roots_mod_p and _cube_roots_mod_p used to compute on every
-    # call, written out step by step
+def _fresh_root_constants(p):
+    # the values _cube_roots_mod_p used to compute on every call, written out
+    # step by step
     n = p - 1
-    if gcd(k, n) == 1:
-        return pow(k, -1, n)
-    if k != 3:
-        return None
+    if gcd(3, n) == 1:
+        return pow(3, -1, n)
     t, s = n, 0
     while t % 3 == 0:
         t //= 3
@@ -502,40 +597,32 @@ def _fresh_root_constants(k, p):
     return t, s, z, zeta, pow(z, -1, p), u, (1 - u * t) // 3
 
 
-ROOT_EXPONENTS = (2, 3, 5)
-
-
 def test_root_constants_match_fresh_values():
     arith._root_constants.cache_clear()
     primes = arith.primes_up_to(5000)
     for p in primes:
-        for k in ROOT_EXPONENTS:
-            assert arith._root_constants(k, p) == _fresh_root_constants(k, p), (k, p)
+        assert arith._root_constants(p) == _fresh_root_constants(p), p
     # a second pass is served from the cache, which is bounded
     before = arith._root_constants.cache_info()
     for p in primes:
-        for k in ROOT_EXPONENTS:
-            assert arith._root_constants(k, p) == _fresh_root_constants(k, p), (k, p)
+        assert arith._root_constants(p) == _fresh_root_constants(p), p
     after = arith._root_constants.cache_info()
-    assert after.hits - before.hits == len(primes) * len(ROOT_EXPONENTS)
+    assert after.hits - before.hits == len(primes)
     assert after.currsize <= after.maxsize
 
 
 def test_kth_residue_solutions_on_primes_below_5000():
-    # against the k-th powers of every unit; the first residue of each
-    # (k, p) computes the cached constants, the others read them
+    # against the cubes of every unit; the first residue of each p computes
+    # the cached constants, the others read them
     arith._root_constants.cache_clear()
     rng = random.Random(23)
     for p in arith.primes_up_to(5000):
         w = np.arange(1, p, dtype=np.int64)
-        for k in ROOT_EXPONENTS:
-            power = np.ones_like(w)
-            for _ in range(k):
-                power = power * w % p
-            residues = {1, p - 1, *(rng.randrange(p) for _ in range(3)),
-                        *(int(power[rng.randrange(p - 1)]) for _ in range(3))}
-            for a in sorted(residues):
-                assert kth_residue_solutions(a, k, p) == w[power == a].tolist(), (a, k, p)
+        power = w * w % p * w % p
+        residues = {1, p - 1, *(rng.randrange(p) for _ in range(3)),
+                    *(int(power[rng.randrange(p - 1)]) for _ in range(3))}
+        for a in sorted(residues):
+            assert kth_residue_solutions(a, 3, p) == w[power == a].tolist(), (a, p)
 
 
 def test_cubic_bound_small():

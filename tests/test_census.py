@@ -2,6 +2,7 @@ import ast
 import functools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -207,6 +208,19 @@ def test_census_catches_a_dropped_pair(monkeypatch):
         with pytest.raises(ArithmeticError, match="mobius census identity failed"):
             census_up_to(b, x)
     assert dropped == [(10, 49), (3, 25)]
+
+
+@pytest.mark.parametrize("b,x", [(3, 10**7), (7, 10**8), (10, 10**9)])
+def test_mobius_pairs_in_runs_of_a_few_pairs(monkeypatch, b, x):
+    # with _PAIR_KEYS at 3 the matched pairs of one block are expanded a few
+    # at a time: d = 5 in base 3 alone has some 200 of them
+    halves = census._pair_halves(b, x)
+    d, mu = census._squarefree_coprime(b, 2, census._mobius_plan(b, x) + 1)
+    expected = census._mobius_pairs(b, x, halves, d * d, mu)
+    monkeypatch.setattr(census, "_PAIR_KEYS", 3)
+    if b == 3:
+        assert sum(int(np.count_nonzero((a[:, None] + c) % 25 == 0)) for a, c in halves) > 100
+    assert census._mobius_pairs(b, x, halves, d * d, mu) == expected
 
 
 def test_pair_keys_do_not_wrap():
@@ -498,8 +512,45 @@ def test_discrepancy_monotone_in_dmax():
 def test_discrepancy_validation():
     with pytest.raises(ValueError):
         equidistribution_discrepancy(10, 100, 11)  # d_max > sqrt(x)
-    with pytest.raises(MemoryError):
-        equidistribution_discrepancy(10, 10**8, 4000)
+    with pytest.raises(ValueError):
+        equidistribution_discrepancy(10, 100, 0)
+
+
+def _discrepancy_by_class_counts(b, x, d_max):
+    # the definition with the counts of the classes hit so far in a dict, so
+    # O(N) memory per d whatever d^2 is: at step t the fullest class exceeds
+    # t / d^2 by (top * d^2 - t) / d^2, and the emptiest falls short by
+    # (t - least * d^2) / d^2, where least stays 0 until all d^2 classes hold
+    # one palindrome
+    pals = list(stream_up_to(b, x, restricted=True))
+    total = Fraction(0)
+    for d in range(2, d_max + 1):
+        if math.gcd(d, b**3 - b) != 1 or not is_squarefree(d):
+            continue
+        dd = d * d
+        counts, at_least = {}, Counter()  # at_least[c]: the classes holding c or more
+        top = least = worst = 0
+        for t, n in enumerate(pals, 1):
+            c = counts[n % dd] = counts.get(n % dd, 0) + 1
+            at_least[c] += 1
+            top = max(top, c)
+            while at_least[least + 1] == dd:
+                least += 1
+            worst = max(worst, top * dd - t, t - least * dd)
+        total += Fraction(worst, dd)
+    return float(total)
+
+
+def test_class_counts_match_rescan():
+    for case in RESCAN_CASES:
+        assert _discrepancy_by_class_counts(*case) == _discrepancy_by_rescan(*case)[0], case
+
+
+def test_discrepancy_past_ten_million_cells():
+    # d = 3163 is the first d with d^2 above 10**7 classes, some 11,000
+    # times the 878 palindromes below x
+    b, x, d_max = 64, 3163**2, 3163
+    assert equidistribution_discrepancy(b, x, d_max) == _discrepancy_by_class_counts(b, x, d_max)
 
 
 def test_census_identity_guard(monkeypatch):

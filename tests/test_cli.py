@@ -160,8 +160,8 @@ def test_csv_quoting_is_rfc4180(tmp_path):
     # out of range (an OverflowError): refused before any output
     (["enumerate", "--base", "10", "--max", str(2**127 + 1)], 2),
     (["census", "--base", "10", "--max", "1000", "--digits", "40"], 2),
-    # past the discrepancy's cell limit, and bound campaigns of no specs
-    (["discrepancy", "--base", "10", "--max", "100000000", "--d-max", "4000"], 2),
+    # a discrepancy with d_max past sqrt(x), and bound campaigns of no specs
+    (["discrepancy", "--base", "10", "--max", "100", "--d-max", "11"], 2),
     (["oscillate", "--count", "0"], 2),
     (["oscillate", "--count", "-1"], 2),
 ])
@@ -187,10 +187,8 @@ def test_error_exits_create_no_output_file(argv, code, tmp_path, capsys):
     (["enumerate", "--base", "10", "--max", str(2**127 + 1)], "x exceeds the 2**127 stream bound"),
     (["discrepancy", "--base", "10", "--max", str(2**127 + 1), "--d-max", "3"],
      "x exceeds the 2**127 stream bound"),
-    # a MemoryError that is also a ValueError: d = 3163 is the first eligible
-    # d past the cell limit of 10**7
-    (["discrepancy", "--base", "10", "--max", "100000000", "--d-max", "4000"],
-     "residue histogram of size 10004569 exceeds the budget"),
+    (["discrepancy", "--base", "10", "--max", "100", "--d-max", "11"],
+     "d_max must be <= sqrt(x)"),
     (["oscillate", "--count", "0"], "count must be >= 1, got 0"),
     (["oscillate", "--count", "-1"], "count must be >= 1, got -1"),
 ])
