@@ -9,31 +9,22 @@ restricted palindromes <= x equals
 A checked census counts the left side and evaluates the right side, and the
 two must agree exactly, as must the two counts of the palindromes. The left
 side is arith.squarefree_grid on the digit-weight grids of the palindromes
-(streams.grids_up_to). The right side writes each odd length's palindromes
-as the sums A + B of two halves, A over the leading digits of a half-prefix
-and B over the rest (the digit-weight factorization of Banks, Hart and
-Sakata). N_1 counts the sums <= x coprime to b^3 - b, tested by value; it
-is also the second count of the palindromes. The d > 1 fall in two regimes
-at a crossover D that a cost model picks (_mobius_plan):
-
-- d <= D: N_d counts the pairs with A = -B mod d^2, found by one sort of
-  both halves' residues for a block of d; the few matched pairs are then cut
-  at x and tested for the restriction by value.
-- d > D: the walk over the restricted multiples m*d^2 <= x keeps the
-  palindromes among them.
-
-The pairs cost about x^(1/4) per d and the walk about x / d^2, so the whole
-costs about x^(5/8), and N_1 about x^(1/2). mu comes from a sieve of this
-module, the halves from a mirror of its own and the palindromes of the walk
-from a digit test of its own: the right side shares no code with arith's
-square-free test, and with the grids nothing but the idea of digit weights,
-neither their weights nor their cut at x. It needs x < 2**63.
+(streams.grids_up_to). The right side finds, for each d <= sqrt(x), d = 1
+included, the palindromes among the multiples n = m * d^2 of each odd
+length N (_palindrome_multiples); N_1 is the second count of the
+palindromes. This is the step of Cilleruelo, Luca and Shparlinski that fixes
+the end digits: the first k digits H of n fix its last k, so m is one
+residue mod b**k, rev_k(H) / d^2, in the range of the n that start with H.
+With b**k near b**(N/2) / d each d costs about 2 * b**(N/2) / d tops and
+candidates, and the whole about sqrt(x) * log(x). mu comes from a sieve of
+this module and the palindromes from a digit test of its own: the right
+side shares no code with arith's square-free test nor with the grids, and
+cuts at x by value. It needs x < 2**63.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -41,6 +32,7 @@ from math import isqrt
 import numpy as np
 
 from . import arith
+from .digits import _check_base
 from .digits import is_palindrome  # noqa: F401  (perfbench's recorder wraps this name)
 from .parallel import map_in_order
 from .streams import batches_up_to, count_up_to, grids_fixed_length, grids_up_to
@@ -69,8 +61,7 @@ def density_constant(b: int) -> tuple[float, Fraction]:
     Returns (value, R) where value = (6/pi^2) * R and R is the exact rational
     product of p^2/(p^2-1) over the primes dividing b^3 - b.
     """
-    if b < 2:
-        raise ValueError("base must be >= 2")
+    _check_base(b)
     r = Fraction(1)
     for p in _restricting_primes(b):
         r *= Fraction(p * p, p * p - 1)
@@ -86,17 +77,24 @@ def q_star_direct(b: int, x: int) -> int:
 def q_star_mobius(b: int, x: int) -> int:
     """Same census as q_star_direct, evaluated through the Mobius identity
     alone (see the module docstring). Must agree with q_star_direct exactly."""
-    return _mobius_census(b, x, _mobius_plan(b, x))[1]
+    return _mobius_census(b, x)[1]
 
 
-def _mobius_census(b: int, x: int, d_split: int) -> tuple[int, int]:
-    """(#restricted palindromes <= x, the Mobius sum) at a crossover
-    d_split >= 1: the count of the halves' sums is the d = 1 term, pairs of
-    the halves give the d in (1, d_split], the walk the d > d_split."""
-    halves = _pair_halves(b, x)
-    total = _pair_total(b, x, halves)
-    d, mu = _squarefree_coprime(b, 2, min(d_split, isqrt(x)) + 1)
-    return total, total + _mobius_pairs(b, x, halves, d * d, mu) + _mobius_walk(b, x, d_split)
+def _mobius_census(b: int, x: int) -> tuple[int, int]:
+    """(#restricted palindromes <= x, the Mobius sum): mu(d) * N_d(x) summed
+    over segments of the d <= sqrt(x) from d = 1, whose N_1 is the count."""
+    _check_base(b)
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    if x >= _INT64_LIMIT:
+        raise OverflowError(f"the Mobius route needs x < 2**63, got {x}")
+    total = out = 0
+    for lo in range(1, isqrt(x) + 1, _BLOCK):
+        d, mu = _squarefree_coprime(b, lo, min(lo + _BLOCK, isqrt(x) + 1))
+        for rows, _ in _palindrome_multiples(b, 1, x, d):
+            total += int(np.count_nonzero(d[rows] == 1))
+            out += int(mu[rows].sum())
+    return total, out
 
 
 def _census(b: int, grids, restricted: bool, scope_kind: str, scope: int,
@@ -136,14 +134,13 @@ def census_up_to(b: int, x: int, threads: int = 1, check_identity: bool = True) 
     serial.
     """
     if check_identity:
-        d_split = _mobius_plan(b, x)
+        summed, via_mobius = _mobius_census(b, x)
     rec = _census(b, grids_up_to(b, x, True), True, "up_to", x, density_constant(b)[0])
     if check_identity:
-        summed, via_mobius = _mobius_census(b, x, d_split)
         if summed != rec.total:
             raise ArithmeticError(
                 f"palindrome counts disagree at b={b}, x={x}: "
-                f"grids={rec.total} halves={summed}"
+                f"grids={rec.total} mobius={summed}"
             )
         if via_mobius != rec.squarefree:
             raise ArithmeticError(
@@ -160,23 +157,16 @@ def q_fixed_length(b: int, n_digits: int) -> CensusRecord:
 
 
 # ---------------------------------------------------------------------------
-# the Mobius side: pairs of halves and walks over multiples of d^2
+# the Mobius side: the palindromes among the multiples of d^2
 # ---------------------------------------------------------------------------
 
 _INT64_LIMIT = 1 << 63
 
-# The sums of a block of the halves' rows or the keys of a pair block, and
-# the multiples (and the d of one mu segment) of a walk block, which keeps a
-# few arrays of its size alive at once. At these sizes the peak memory of a
-# census-scan pass is still set by the prime tables of its square-free tests.
-_PAIR_KEYS = 1 << 15
-_WALK_BLOCK = 1 << 14
-
-# The weights of the cost model of _mobius_plan, in residue tests (one
-# d^2 | n test of a palindrome); fitted by timing (see there).
-_KEY_COST = 4
-_PAIR_COST = 16
-_WALK_COST = 4
+# The d of one mu segment, and the tops, the (d, top) pairs and the
+# candidates of one block of the kernel, which keeps a few arrays of this
+# size alive at once. At this size the peak memory of a census-scan pass is
+# still set by the prime tables of its square-free tests.
+_BLOCK = 1 << 14
 
 
 def _primes(limit: int) -> np.ndarray:
@@ -215,260 +205,122 @@ def _squarefree_coprime(b: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
     return d[keep], mu[keep]
 
 
-def _mobius_plan(b: int, x: int) -> int:
-    """The crossover D of the Mobius sum at x: pairs of halves count the
-    d in (1, D], the walk the d > D.
+def _palindrome_multiples(b: int, lo: int, hi: int, d: np.ndarray):
+    """Blocks (rows, n) of the restricted palindromes n in [lo, hi] with
+    d[rows]^2 | n, each (row, n) once; every d is coprime to b^3 - b, and
+    d^2 <= hi < 2**63.
 
-    Per eligible d, the pairs sort the K keys of the halves and test the
-    about H / d^2 pairs that match (H the pairs of the halves); the walk
-    visits about M / d^2 multiples (M = x times the share of m coprime to
-    b^3 - b). The cost of the d > 1 is then about
-
-        k*K*D + h*H*(1 - 1/D) + w*M/D
-
-    residue tests, least at D = sqrt((w*M - h*H) / (k*K)), capped to
-    [1, sqrt(x)].
-
-    The weights k = _KEY_COST = 4, h = _PAIR_COST = 16 and w = _WALK_COST
-    = 4 were fitted by timing bases 2, 3, 7, 10, 16 and 64 at x = 10^6 to
-    10^12 on a 2-core x86 host (a residue test 6-10 ns, a sort key 30-38 ns,
-    a matched pair 90-140 ns, a walked multiple 30-95 ns, base 2 the
-    slowest), with a third regime below the pairs that tested each
-    palindrome for the d^2 up to a crossover under 10. Of the weights tried
-    (k 3-6, h 8-32, w 4-9), these planned within 5% of the best time in 12
-    of 15 cases and within 22% in all: the cost is flat near its least.
-    They put D near x^(3/8) from x = 10^8 on.
+    Per odd length N and per d, the first k digits of n = m * d^2, its top H,
+    fix its last k digits, rev_k(H), and so m = rev_k(H) * d^-2 mod b**k;
+    k is set by _end_digits. Per top, the candidates are those m in the
+    range of the n that start with H, and the kept n are those coprime to
+    b^3 - b whose digits k .. N-1-k read the same both ways.
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    if x >= _INT64_LIMIT:
-        raise OverflowError(f"the Mobius route needs x < 2**63, got {x}")
-    lengths = _pair_lengths(b, x)
-    keys = _KEY_COST * sum(rows + b**k for _, _, k, rows in lengths)
-    matched = _PAIR_COST * sum(rows * b**k for _, _, k, rows in lengths)
-    walked = _WALK_COST * x * math.prod(1 - 1 / p for p in _restricting_primes(b))
-    return max(1, min(int(math.sqrt(max(walked - matched, 0) / keys)), isqrt(x)))
-
-
-def _mirror(h: np.ndarray, b: int, n_digits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(h * b**(m - 1), the reversal of h // b over m - 1 digits): their sum
-    is the palindrome of odd length 2m - 1 mirrored from each m-digit
-    half-prefix h, leading zeros included; both are additive over digits."""
-    low = np.zeros_like(h)
-    rest = h // b  # the middle digit is not mirrored
-    for _ in range(n_digits // 2):
-        rest, digit = np.divmod(rest, b)
-        low = low * b + digit
-    return h * b ** (n_digits // 2), low
-
-
-def _pair_lengths(b: int, x: int) -> list[tuple[int, int, int, int]]:
-    """(N, top, k, rows) for each odd length N with b**(N-1) <= x: the
-    half-prefixes h < top (the first h with h * b**(N - m) > x) split as
-    high * b**k + low, with rows values of high whose leading digit is
-    coprime to b; k makes rows + b**k, the size of the halves, least."""
-    leads = [lead for lead in range(1, b) if math.gcd(lead, b) == 1]
-    lengths = []
+    all_squares, primes = d * d, _restricting_primes(b)
     for n_digits in range(1, _INT64_LIMIT.bit_length(), 2):
-        if b ** (n_digits - 1) > x:
+        if b ** (n_digits - 1) > hi:
             break
-        m = (n_digits + 1) // 2
-        top = min(b**m, x // b ** (n_digits - m) + 1)
-
-        def rows(k):
-            # the high in [place, end): whole runs of the leads below the
-            # lead of end, and part of its own run
-            place = b ** (m - k - 1)
-            lead, part = divmod(-(-top // b**k), place)
-            return place * bisect_left(leads, lead) + (part if lead in leads else 0)
-
-        k = min(range(m), key=lambda k: rows(k) + b**k)
-        lengths.append((n_digits, top, k, rows(k)))
-    return lengths
-
-
-def _pair_halves(b: int, x: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per length of _pair_lengths, int64 halves (A, B) whose sums
-    A[i] + B[j] hold each N-digit palindrome <= x with its leading digit
-    coprime to b once, and otherwise only palindromes above x.
-
-    The palindrome of h = high * b**k + low is the mirror of high * b**k
-    plus that of low (both are sums of digits times the weights
-    W_j = b**(N-1-j) + b**j). A holds the first for each high whose leading
-    digit is coprime to b and whose mirror is <= x, B the second for each
-    low < b**k.
-    """
-    halves = []
-    for n_digits, top, k, _ in _pair_lengths(b, x):
-        place = b ** ((n_digits + 1) // 2 - k - 1)
-        high = np.arange(place, -(-top // b**k), dtype=np.int64)
-        high, low = _mirror(high[np.gcd(high // place, b) == 1] * b**k, b, n_digits)
-        keep = low <= x - high  # no wrap: high <= x
-        halves.append((high[keep] + low[keep],
-                       np.add(*_mirror(np.arange(b**k, dtype=np.int64), b, n_digits))))
-    return halves
+        w_lo, w_hi = max(lo, b ** (n_digits - 1)), min(hi, b**n_digits - 1)
+        if w_lo > w_hi:
+            continue
+        fits = np.flatnonzero(all_squares <= w_hi)
+        ends = _end_digits(b, n_digits, all_squares[fits])
+        for k in np.unique(ends).tolist():
+            rows = fits[ends == k]
+            squares, mod = all_squares[rows], b**k
+            inverse = _inverse_squares(b, squares, k)
+            for rev, low, high in _tops(b, n_digits, k, w_lo, w_hi):
+                step = max(1, _BLOCK // max(len(rev), 1))
+                for i in range(0, len(rows), step):
+                    s = squares[i : i + step, None]
+                    first = -(-low // s)
+                    # no wrap: rev and the inverse are below b**k, and
+                    # b**(2k) <= b**(N-1) <= hi
+                    first += (inverse[i : i + step, None] * rev - first) % mod
+                    count = np.maximum((high // s - first) // mod + 1, 0)
+                    for pair, m in _progressions(first.ravel(), count.ravel(), mod):
+                        row = i + pair // len(rev)
+                        n = m * squares[row]
+                        hit = np.flatnonzero(_inner_palindromes(n, b, n_digits, k))
+                        for p in primes:  # a mod per prime is some 5 times cheaper than np.gcd
+                            hit = hit[n[hit] % p != 0]
+                        yield rows[row[hit]], n[hit]
 
 
-def _pair_total(b: int, x: int, halves) -> int:
-    """#{(A[i], B[l]) of one length's halves : A[i] + B[l] <= x,
-    gcd(A[i] + B[l], b^3 - b) = 1} over the lengths, the restricted
-    palindromes <= x, in blocks of rows of about _PAIR_KEYS sums."""
-    out = 0
-    for a, c in halves:
-        step = max(1, _PAIR_KEYS // len(c))
-        for i in range(0, len(a), step):
-            high = a[i : i + step, None]
-            # a sum that passes 2**63 wraps silently in int64; it is then
-            # above x, and c <= x - high drops it without reading it
-            out += int(np.count_nonzero((c <= x - high) & (np.gcd(high + c, b**3 - b) == 1)))
-    return out
+def _end_digits(b: int, n_digits: int, squares: np.ndarray) -> np.ndarray:
+    """Per d^2, the number k <= (N - 1) / 2 of end digits that makes the
+    tops plus the candidates, about T_k * (1 + b**(N - 2k) / d^2), least:
+    T_0 = 1, and T_k is the count of k-digit tops with a leading digit
+    coprime to b. So b**k lands near b**(N/2) / d."""
+    leads = sum(math.gcd(lead, b) == 1 for lead in range(1, b))
+    tops = [1] + [leads * b ** (k - 1) for k in range(1, (n_digits + 1) // 2)]
+    # k + 1 digits cost less than k where d^2 is below cuts[k]; the cost is
+    # convex in k, so the cuts fall
+    cuts = [(tops[k] * b ** (n_digits - 2 * k) - tops[k + 1] * b ** (n_digits - 2 * k - 2))
+            / (tops[k + 1] - tops[k]) if tops[k + 1] > tops[k] else math.inf
+            for k in range(len(tops) - 1)]
+    return np.searchsorted(-np.array(cuts), -squares.astype(float))
 
 
-def _mobius_pairs(b: int, x: int, halves, squares: np.ndarray, mu: np.ndarray) -> int:
-    """sum of mu[j] * #{(A[i], B[l]) of one length's halves : squares[j] |
-    A[i] + B[l] <= x, gcd(A[i] + B[l], b^3 - b) = 1}, squares increasing.
-
-    A group is one square with one length. In a block of consecutive groups
-    every A[i] gets the key (group, A[i] mod d^2, 0) and every B[l] the key
-    (group, -B[l] mod d^2, 1), packed into one uint64; one sort of the block
-    puts each B right after the A of its key, those with d^2 | A + B. The
-    block holds about _PAIR_KEYS keys, and at most 2**63 // d^2 groups so
-    that the packed key cannot wrap. The matched pairs, about #pairs / d^2
-    per square, are then tested by value, about _PAIR_KEYS at a time.
-    """
-    sides = [_pair_side([a for a, _ in halves]), _pair_side([-c for _, c in halves])]
-    (a, _, _), (c, _, _) = sides
-    n_parts, n_groups = len(halves), len(squares) * len(halves)
-    modulus = int(squares.max(initial=1))  # the last square, if any
-    step = max(1, min(_PAIR_KEYS * n_parts // (len(a) + len(c)), _INT64_LIMIT // modulus))
-    out = 0
-    for g0 in range(0, n_groups, step):
-        g1 = min(g0 + step, n_groups)
-        (ka, fa), (kb, fb) = (_pair_keys(*side, squares, g0, g1, modulus) for side in sides)
-        n_a = len(ka)
-        # both sides' keys in one array, shifted in place for the side bit
-        keys = np.concatenate([ka, kb])
-        del ka, kb
-        keys <<= 1
-        keys[n_a:] |= 1
-        order = np.argsort(keys)
-        keys = keys[order]
-        # the sorted places of the B that follow an entry of their own key
-        hit = np.flatnonzero(((keys[1:] ^ keys[:-1]) < 2) & (keys[1:] & 1 == 1)) + 1
-        first = np.searchsorted(keys, keys[hit] - 1)
-        count = np.searchsorted(keys, keys[hit]) - first  # the A of that key
-        ends = np.cumsum(count)
-        offset = first - ends + count  # a pair's place in keys, less its index
-        # the pairs of whole hits, a run from each hit holding pair r * _PAIR_KEYS
-        cuts = np.searchsorted(ends, np.arange(0, int(count.sum()), _PAIR_KEYS), side="right")
-        cuts = np.unique(cuts).tolist()
-        for h0, h1 in zip(cuts, [*cuts[1:], len(hit)]):
-            run = count[h0:h1]
-            pairs = np.arange(ends[h0] - run[0], ends[h1 - 1])
-            # each pair's A and B as places in their sides' (square, value) grids
-            i = order[np.repeat(offset[h0:h1], run) + pairs] + fa
-            l = order[np.repeat(hit[h0:h1], run)] - n_a + fb
-            high, low = a[i % len(a)], -c[l % len(c)]
-            ok = (low <= x - high) & (np.gcd(high + low, b**3 - b) == 1)
-            out += int(mu[g0 // n_parts + i[ok] // len(a)].sum())
-    return out
+def _inverse_squares(b: int, squares: np.ndarray, k: int) -> np.ndarray:
+    """Each d^2 inverted mod b**k: Newton's step y * (2 - d^2 * y) doubles
+    the digits of y from its inverse mod b; every product stays below
+    b**(2k)."""
+    units = np.array([pow(u, -1, b) if math.gcd(u, b) == 1 else 0 for u in range(b)])
+    inverse, mod = units[squares % b], b
+    while mod < b**k:
+        mod = min(mod * mod, b**k)
+        inverse = inverse * (2 - squares % mod * inverse % mod) % mod
+    return inverse % b**k
 
 
-def _pair_side(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The parts concatenated, with the part of each value and the start of
-    each part."""
-    sizes = [len(part) for part in parts]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    return np.concatenate(parts), np.repeat(np.arange(len(parts)), sizes), starts
+def _tops(b: int, n_digits: int, k: int, lo: int, hi: int):
+    """Blocks (rev, low, high) of the k-digit tops H of the N-digit numbers
+    in [lo, hi] with a leading digit coprime to b: rev_k(H), the k digits of
+    H reversed, and the range [low, high] of [lo, hi] that starts with H.
+    The one top of k = 0 is empty."""
+    if k == 0:
+        yield np.zeros(1, dtype=np.int64), np.array([lo]), np.array([hi])
+        return
+    place, leads = b ** (n_digits - k), np.gcd(np.arange(b), b) == 1
+    for h in range(lo // place, hi // place + 1, _BLOCK):
+        top = np.arange(h, min(h + _BLOCK, hi // place + 1), dtype=np.int64)
+        top = top[leads[top // b ** (k - 1)]]
+        rev, rest = np.zeros_like(top), top
+        for _ in range(k):
+            rest, digit = np.divmod(rest, b)
+            rev = rev * b + digit
+        start = top * place
+        # no wrap: place <= lo <= hi
+        yield rev, np.maximum(start, lo), np.minimum(start, hi - place + 1) + (place - 1)
 
 
-def _pair_keys(values, part, starts, squares, g0, g1, modulus):
-    """The keys (g - g0) * modulus + value mod squares[j] of the groups g in
-    [g0, g1) as uint64, group g = j * #parts + s standing for the values of
-    part s mod squares[j]; and the place of the first key in the grid of
-    (square, value) from square g0 // #parts on, where the groups are a run."""
-    n, n_parts = len(values), len(starts) - 1
-    j0, j1 = g0 // n_parts, -(-g1 // n_parts)
-    first = int(starts[g0 % n_parts])
-    last = (g1 // n_parts - j0) * n + int(starts[g1 % n_parts])
-    groups = (np.arange(j1 - j0)[:, None] * n_parts + part).ravel()[first:last]
-    groups -= g0 - j0 * n_parts
-    keys = groups * modulus
-    keys += (values % squares[j0:j1, None]).ravel()[first:last]
-    return keys.view(np.uint64), first
-
-
-def _mobius_walk(b: int, x: int, d_split: int) -> int:
-    """sum of mu(d) * N_d(x) over the d in (d_split, sqrt(x)], by walking
-    the restricted multiples of each d^2 a segment of d at a time."""
-    out = 0
-    for lo in range(d_split + 1, isqrt(x) + 1, _WALK_BLOCK):
-        d, mu = _squarefree_coprime(b, lo, min(lo + _WALK_BLOCK, isqrt(x) + 1))
-        for rows, values in _restricted_multiples(b, x, d * d):
-            out += int(mu[rows[_palindrome_mask(values, b)]].sum())
-    return out
-
-
-def _restricted_multiples(b: int, x: int, squares: np.ndarray):
-    """The multiples m * s <= x of each s in squares with m coprime to
-    b^3 - b, in blocks of at most _WALK_BLOCK: pairs (rows, values) where
-    values[i] is a multiple of squares[rows[i]].
-
-    The m coprime to b^3 - b are q*r + u, where r is the product of the
-    primes of b^3 - b and u runs over the units mod r; so m is computed
-    from its index among them, and no block holds more than its share of a
-    row.
-    """
-    r = math.prod(_restricting_primes(b))
-    units = np.flatnonzero(np.gcd(np.arange(r), r) == 1)
-    last = x // squares  # the largest m of each row
-    counts = last // r * len(units) + np.searchsorted(units, last % r, side="right")
-    ends = np.cumsum(counts)
-    starts = ends - counts
+def _progressions(first: np.ndarray, count: np.ndarray, step: int):
+    """Blocks (i, first[i] + j * step) over the j < count[i], of at most
+    _BLOCK values each."""
+    ends = np.cumsum(count)
+    starts = ends - count
     total = int(ends[-1]) if len(ends) else 0
-    for s in range(0, total, _WALK_BLOCK):
-        e = min(s + _WALK_BLOCK, total)
+    for s in range(0, total, _BLOCK):
+        e = min(s + _BLOCK, total)
         i0 = int(np.searchsorted(ends, s, side="right"))
         i1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
-        rows = np.repeat(np.arange(i0, i1),
-                         np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s))
-        # in place, so that few block-sized arrays are alive at once
-        index = np.arange(s, e)
-        index -= starts[rows]
-        m = index // len(units)
-        index -= m * len(units)
-        m *= r
-        m += units[index]
-        del index
-        m *= squares[rows]
-        yield rows, m
+        i = np.repeat(np.arange(i0, i1),
+                      np.minimum(ends[i0:i1], e) - np.maximum(starts[i0:i1], s))
+        yield i, first[i] + (np.arange(s, e) - starts[i]) * step
 
 
-def _palindrome_mask(values: np.ndarray, b: int) -> np.ndarray:
-    """digits.is_palindrome over an int64 array, as a boolean array.
-
-    Digit pairs are compared from the outside in, each round on the values
-    still in the running: top and low are the places of the next pair, and a
-    value whose places have met or crossed has matched every pair.
-    """
-    places = [1]  # b**k for every k with b**k < 2**63
-    while places[-1] * b < _INT64_LIMIT:
-        places.append(places[-1] * b)
-    places = np.array(places, dtype=np.int64)
+def _inner_palindromes(values: np.ndarray, b: int, n_digits: int, k: int) -> np.ndarray:
+    """Whether the digits k .. N-1-k of each N-digit value read the same both
+    ways, as a boolean array: digit j against digit N-1-j from j = k inward,
+    each round on the values still in the running. At k = 0 this is
+    digits.is_palindrome."""
     out = np.zeros(len(values), dtype=bool)
-    top = places[np.searchsorted(places, values, side="right") - 1]
-    # the leading digit is never 0, so matching it also rules out b | n
-    left = np.flatnonzero((values // top == values % b) & (values > 0))
-    v, top, low = values[left], top[left] // b, b
-    while len(left):
-        done = top <= low
-        if done.any():
-            out[left[done]] = True
-            live = np.flatnonzero(~done)
-            left, v, top = left[live], v[live], top[live]
-        same = np.flatnonzero(v // top % b == v // low % b)
-        left, v, top = left[same], v[same], top[same] // b
-        low *= b
+    left, v = np.arange(len(values)), values
+    for j in range(k, n_digits // 2):
+        same = np.flatnonzero(v // b**j % b == v // b ** (n_digits - 1 - j) % b)
+        left, v = left[same], v[same]
+    out[left] = True
     return out
 
 
@@ -492,12 +344,11 @@ def _s_b_stream(b: int, x: int, d_lo: int, d_hi: int) -> int:
 def _s_b_multiples(b: int, x: int, d_lo: int, d_hi: int) -> int:
     hits = []
     d_top = min(d_hi, isqrt(x))
-    for lo in range(d_lo, d_top + 1, _WALK_BLOCK):
-        d = np.arange(lo, min(lo + _WALK_BLOCK, d_top + 1), dtype=np.int64)
+    for lo in range(d_lo, d_top + 1, _BLOCK):
+        d = np.arange(lo, min(lo + _BLOCK, d_top + 1), dtype=np.int64)
         # a d sharing a prime with b^3 - b has no restricted multiple of d^2
         d = d[np.gcd(d, b**3 - b) == 1]
-        hits += [values[_palindrome_mask(values, b)]
-                 for _, values in _restricted_multiples(b, x, d * d)]
+        hits += [n for _, n in _palindrome_multiples(b, 1, x, d)]
     # one n may have several qualifying d
     return len(np.unique(np.concatenate(hits))) if hits else 0
 
@@ -505,8 +356,8 @@ def _s_b_multiples(b: int, x: int, d_lo: int, d_hi: int) -> int:
 def s_b_costs(b: int, x: int, d_dyadic: int) -> tuple[int, int]:
     """Probe counts of the two S_b strategies, (stream, multiples): every
     palindrome <= x against each of the D + 1 squares, and every multiple of
-    each d^2 <= x (an upper bound for the walk, which visits only the
-    restricted ones)."""
+    each d^2 <= x (an upper bound on the candidates of the multiples
+    strategy, a subset of those multiples)."""
     cost_stream = count_up_to(b, x) * (d_dyadic + 1)
     cost_multiples = sum(x // (d * d) + 1
                          for d in range(d_dyadic, min(2 * d_dyadic, isqrt(x)) + 1))
@@ -518,11 +369,12 @@ def s_b(b: int, x: int, d_dyadic: int, strategy: str) -> int:
     [D, 2D]); each n counted once.
 
     strategy "stream" scans palindromes and tests each square (cost about
-    sqrt(x) * D); "multiples" walks the restricted multiples of each d^2 in
-    int64 blocks and keeps those that the vectorized palindrome test of the
-    Mobius route accepts (cost about x/D; x < 2**63, else OverflowError);
-    "both" runs the two and insists they agree.
+    sqrt(x) * D); "multiples" finds the palindromes among the multiples of
+    each d^2 by the kernel of the Mobius route, which fixes their end digits
+    (cost about sqrt(x) per length; x < 2**63, else OverflowError); "both"
+    runs the two and insists they agree.
     """
+    _check_base(b)
     if x < 1 or d_dyadic < 1:
         raise ValueError("x and D must be >= 1")
     if strategy in ("multiples", "both") and x >= _INT64_LIMIT:

@@ -16,7 +16,8 @@ the ceil(N/2) digits, makes n = A[high] + B[low], so a segment is a few
 blocks of rows A and columns B whose sums are its palindromes, row by row in
 increasing order. This is the module's one generator: batches flatten the
 blocks, streams yield their values one by one as Python ints, and counts sum
-the segment lengths. (A checked census mirrors its Mobius side's own.)
+the segment lengths. (The Mobius side of a checked census finds its own
+palindromes, among the multiples of each d^2.)
 
 A restricted set keeps the palindromes coprime to b**3 - b. Its even-length
 segments are empty, since b + 1 divides every even-length palindrome, so

@@ -112,6 +112,25 @@ def test_mobius_route_refuses_int64_overflow():
     assert s_b(10, x, root - 1000, strategy="multiples") == expected
 
 
+@pytest.mark.parametrize("call", [
+    lambda: census_up_to(0, 100),
+    lambda: q_star_mobius(1, 100),
+    lambda: q_star_mobius(65, 10**6),
+    lambda: s_b(65, 10**6, 3, "multiples"),
+    lambda: s_b(1, 100, 2, "multiples"),
+    lambda: s_b(65, 10**6, 3, "stream"),
+    lambda: density_constant(65),
+    lambda: density_constant(1),
+])
+def test_routes_check_the_base(call):
+    # bases outside [2, 64] are refused before any work, not answered (65
+    # gave 910 and 0) nor run on (base 1 ran past 20 s, base 0 divided by 0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"base must be in \[2, 64\]"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
 def _mu_by_trial_division(n):
     k = 0
     for p in range(2, math.isqrt(n) + 1):
@@ -132,16 +151,48 @@ def test_squarefree_coprime_matches_mobius():
         assert list(zip(d.tolist(), mu_d.tolist())) == expected
 
 
+def _multiples_by_division(b, x, d):
+    """The (row, n) with n a restricted palindrome <= x and d[row]^2 | n,
+    sorted, from the palindromes themselves."""
+    pals = np.array(list(stream_up_to(b, x, True)), dtype=np.int64)
+    return sorted((row, n) for row, dd in enumerate((d * d).tolist())
+                  for n in pals[pals % dd == 0].tolist())
+
+
+def _kernel_pairs(b, lo, hi, d):
+    """The (row, n) the kernel yields over [lo, hi], sorted and checked to
+    be int64."""
+    found = []
+    for rows, n in census._palindrome_multiples(b, lo, hi, d):
+        assert n.dtype == np.int64
+        found += zip(rows.tolist(), n.tolist())
+    return sorted(found)
+
+
+def _eligible(b, lo, hi):
+    """The d in [lo, hi] coprime to b^3 - b, square-free or not."""
+    d = np.arange(lo, hi + 1, dtype=np.int64)
+    return d[np.gcd(d, b**3 - b) == 1]
+
+
+def _forced_end_digits(monkeypatch, k):
+    """Make the kernel take k end digits, or (N - 1) / 2 where N is shorter."""
+    monkeypatch.setattr(census, "_end_digits", lambda b, n_digits, squares:
+                        np.full(len(squares), min(k, (n_digits - 1) // 2)))
+
+
 @pytest.mark.parametrize("b,x", [(10, 10**5), (2, 2 * 10**4), (3, 10**4)])
 def test_mobius_walk_at_every_crossover(b, x):
-    # the walk over the d > k, for every k, against mu(d) * N_d(x) summed
-    # from the palindromes themselves
+    # the kernel over the d of each segment [lo, sqrt(x)] (the segments of
+    # _mobius_census need not start at 1) against mu(d) * N_d(x) summed from
+    # the palindromes themselves
     pals = np.array(list(stream_up_to(b, x, True)), dtype=np.int64)
     terms = {d: _mu_by_trial_division(d) * int(np.count_nonzero(pals % (d * d) == 0))
              for d in range(1, math.isqrt(x) + 1) if math.gcd(d, b**3 - b) == 1}
-    for k in range(math.isqrt(x) + 1):
-        expected = sum(t for d, t in terms.items() if d > k)
-        assert census._mobius_walk(b, x, k) == expected, k
+    for lo in range(1, math.isqrt(x) + 1):
+        d, mu = census._squarefree_coprime(b, lo, math.isqrt(x) + 1)
+        got = sum(int(mu[rows].sum()) for rows, _ in census._palindrome_multiples(b, 1, x, d))
+        assert got == sum(t for d, t in terms.items() if d >= lo), lo
 
 
 def _direct(b, x):
@@ -149,124 +200,118 @@ def _direct(b, x):
     return rec.total, rec.squarefree
 
 
-@pytest.mark.parametrize("b", range(2, 17))
-def test_mobius_census_at_every_split(b):
-    # every d > 1 walked, every d paired, then mixed splits: the same
-    # palindrome count and Mobius sum as the direct census
-    x = 1_234_567
-    root = math.isqrt(x)
-    expected = _direct(b, x)
-    for d_split in (1, root, 2, 3, 5, root // 4, root // 2, root - 1, 10 * root):
-        assert census._mobius_census(b, x, d_split) == expected, d_split
+@pytest.mark.parametrize("b", range(2, 65))
+def test_mobius_census_at_every_split(monkeypatch, b):
+    # every split of the palindromes into k end digit pairs and inner
+    # digits, k forced from 0 to (N - 1) / 2 for every length N: the same
+    # (d, palindrome) pairs as division finds, for every d coprime to
+    # b^3 - b (square-free or not), and the same palindrome count and
+    # Mobius sum as the direct census
+    x = 10**5 + b
+    d = _eligible(b, 1, math.isqrt(x))
+    expected = _multiples_by_division(b, x, d)
+    assert len({n for row, n in expected if d[row] > 1}) > 0
+    for k in range((len(to_digits(x, b)) - 1) // 2 + 1):
+        _forced_end_digits(monkeypatch, k)
+        assert _kernel_pairs(b, 1, x, d) == expected, k
+        assert census._mobius_census(b, x) == _direct(b, x), k
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 16), st.integers(0, 8).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1))),
-       st.data())
-def test_mobius_splits_match_the_direct_count(b, x, data):
-    # a walk over at most about 10**5 / d^2 * x multiples, so that any
-    # x <= 10**9 stays fast; the pairs take the rest
-    root = math.isqrt(x)
-    d_split = data.draw(st.integers(min(max(1, x // 10**5), root), root))
-    expected = _direct(b, x)
-    assert census._mobius_census(b, x, d_split) == expected
-    assert census._mobius_census(b, x, census._mobius_plan(b, x)) == expected
+@given(st.integers(2, 64), st.integers(0, 8).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1))),
+       st.integers(-1, 2))
+@example(10, 10**9, -1)
+@example(2, 10**9, 2)
+@example(64, 10**9, -1)
+def test_mobius_splits_match_the_direct_count(b, x, shift):
+    # the chosen end digits, and one fewer (b times the candidates) or up to
+    # two more (b or b^2 times the tops), at x up to 10**9
+    real = census._end_digits
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "_end_digits", lambda b, n_digits, squares: np.clip(
+            real(b, n_digits, squares) + shift, 0, (n_digits - 1) // 2))
+        assert census._mobius_census(b, x) == _direct(b, x)
 
 
 def test_mobius_plan_regimes():
-    # one crossover in [1, sqrt(x)]; at scale the pairs take the d up to
-    # about x^(3/8), well inside that range
+    # per length N, k in [0, (N - 1) / 2], one k per d falling with d, and
+    # b**k within a factor b of b**(N/2) / d where that lies in range
     for b in (2, 3, 10, 64):
-        for x in (1, 2, 100, 10**4, 10**6, 10**9, 10**12, 2**63 - 1):
-            d_split = census._mobius_plan(b, x)
-            assert isinstance(d_split, int)
-            assert 1 <= d_split <= math.isqrt(x), (b, x)
-    for b in (2, 10, 64):
-        x = 10**12
-        assert 1000 < census._mobius_plan(b, x) < math.isqrt(x) // 10, b
+        for n_digits in range(1, 64, 2):
+            if b ** (n_digits - 1) >= 2**63:
+                break
+            d = np.unique(np.geomspace(1, math.isqrt(b ** (n_digits - 1)), 200).astype(np.int64))
+            k = census._end_digits(b, n_digits, d * d)
+            assert ((0 <= k) & (k <= (n_digits - 1) // 2)).all()
+            assert (np.diff(k) <= 0).all()
+            aim = np.log(b ** (n_digits / 2) / d) / math.log(b)
+            inside = (aim >= 1) & (aim <= (n_digits - 1) // 2)
+            assert (np.abs(k - aim)[inside] <= 1).all(), (b, n_digits)
+    # d = 1 takes every end digit but the middle one's
+    assert census._end_digits(10, 13, np.array([1])).tolist() == [6]
 
 
-def test_census_catches_a_dropped_pair(monkeypatch):
-    # a pair regime that loses one matched pair moves the Mobius sum by the
-    # mu(d) of its square: d = 7 in base 10, and d = 5 in base 3, the
-    # smallest d coprime to b^3 - b in each
-    real = census._mobius_pairs
+def test_census_catches_a_dropped_candidate(monkeypatch):
+    # a kernel that loses one palindrome among the multiples of d^2 moves the
+    # Mobius sum by mu(d): d = 7 in base 10, and d = 5 in base 3, the
+    # smallest d > 1 coprime to b^3 - b in each
+    real = census._palindrome_multiples
     dropped = []
 
-    def drops_one(b, x, halves, squares, mu):
-        for j, square in enumerate(squares.tolist()):
-            for a, c in halves:
-                n = a[:, None] + c[None, :]
-                if ((n % square == 0) & (n <= x) & (np.gcd(n, b**3 - b) == 1)).any():
-                    dropped.append((b, square))
-                    return real(b, x, halves, squares, mu) - int(mu[j])
-        raise AssertionError("no matched pair")
+    def drops_one(b, lo, hi, d):
+        for rows, n in real(b, lo, hi, d):
+            at = np.flatnonzero(d[rows] == {10: 7, 3: 5}[b])
+            if len(at) and b not in {c for c, _ in dropped}:
+                dropped.append((b, int(n[at[0]])))
+                rows, n = np.delete(rows, at[0]), np.delete(n, at[0])
+            yield rows, n
 
-    monkeypatch.setattr(census, "_mobius_pairs", drops_one)
+    monkeypatch.setattr(census, "_palindrome_multiples", drops_one)
     for b, x in ((10, 10**7), (3, 10**7)):
-        assert census._mobius_plan(b, x) >= 7
         with pytest.raises(ArithmeticError, match="mobius census identity failed"):
             census_up_to(b, x)
-    assert dropped == [(10, 49), (3, 25)]
+    assert [(b, n % {10: 49, 3: 25}[b]) for b, n in dropped] == [(10, 0), (3, 0)]
 
 
 @pytest.mark.parametrize("b,x", [(3, 10**7), (7, 10**8), (10, 10**9)])
 def test_mobius_pairs_in_runs_of_a_few_pairs(monkeypatch, b, x):
-    # with _PAIR_KEYS at 3 the matched pairs of one block are expanded a few
-    # at a time: d = 5 in base 3 alone has some 200 of them
-    halves = census._pair_halves(b, x)
-    d, mu = census._squarefree_coprime(b, 2, census._mobius_plan(b, x) + 1)
-    expected = census._mobius_pairs(b, x, halves, d * d, mu)
-    monkeypatch.setattr(census, "_PAIR_KEYS", 3)
-    if b == 3:
-        assert sum(int(np.count_nonzero((a[:, None] + c) % 25 == 0)) for a, c in halves) > 100
-    assert census._mobius_pairs(b, x, halves, d * d, mu) == expected
-
-
-def test_pair_keys_do_not_wrap():
-    # squares of d near 2**30 and above 2**31: a key (group * d^2 + residue)
-    # over all 15 groups would pass 2**63, and from 2**31 on one group's
-    # packed key (with its side bit) passes it too
-    rng = np.random.default_rng(17)
-    b, x = 10, 2**63 - 1
-    d = [2**30 + 7, 2**30 + 9, 3 * 2**29 + 1, 2**31 + 11, math.isqrt(x)]
-    squares = np.array([v * v for v in d], dtype=np.int64)
-    mu = np.array([1, -1, 2, 3, -5], dtype=np.int64)  # weights that tell the squares apart
-    assert len(squares) * 3 * int(squares[0]) >= 2**63
-    halves = []
-    for _ in range(3):
-        c = rng.integers(0, 2**61, 40)
-        # A that some square pairs with some B, below or above x, and random A
-        k = rng.integers(1, 8, 40)
-        a = np.array([int(k[i]) * int(squares[i % 5]) - int(c[i]) for i in range(40)], dtype=object)
-        a = a[(a >= 0) & (a < 2**63)].astype(np.int64)
-        halves.append((np.concatenate([a, rng.integers(0, 2**62, 40)]), c))
-    expected = 0
-    for j, square in enumerate(squares.tolist()):
-        for a, c in halves:
-            for high in a.tolist():
-                for low in c.tolist():
-                    n = high + low
-                    if n % square == 0 and n <= x and math.gcd(n, b**3 - b) == 1:
-                        expected += int(mu[j])
-    assert expected != 0
-    assert census._mobius_pairs(b, x, halves, squares, mu) == expected
+    # with _BLOCK at 3 the (d, top) pairs and their candidates come a few at
+    # a time: d = 1 alone has some thousand tops at each length here
+    d = _eligible(b, 1, 30)
+    expected = _kernel_pairs(b, 1, x, d)
+    monkeypatch.setattr(census, "_BLOCK", 3)
+    assert _kernel_pairs(b, 1, x, d) == expected
+    assert len(expected) > 1000
 
 
 @pytest.mark.parametrize("b,x,block", [(10, 10**5, 7), (2, 10**4, 3), (64, 10**6, 1000)])
 def test_restricted_multiples_blocks(monkeypatch, b, x, block):
-    # small blocks split rows across blocks; the walk must still visit each
-    # restricted multiple of each square once, a bounded block at a time
-    monkeypatch.setattr(census, "_WALK_BLOCK", block)
-    squares = np.array([d * d for d in range(1, 40) if math.gcd(d, b**3 - b) == 1],
-                       dtype=np.int64)
-    walked = []
-    for rows, values in census._restricted_multiples(b, x, squares):
-        assert 0 < len(values) <= block
-        walked += zip(rows.tolist(), values.tolist())
-    expected = [(i, n) for i, s in enumerate(squares.tolist())
-                for n in range(s, x + 1, s) if math.gcd(n, b**3 - b) == 1]
-    assert walked == expected
+    # small blocks split the tops, the d and the candidates across blocks;
+    # the kernel must still yield each (d, palindrome) once, from bounded
+    # blocks of pairs and of candidates, at the chosen k and at k = 0
+    monkeypatch.setattr(census, "_BLOCK", block)
+    real = census._progressions
+    sizes = []
+
+    def bounded(first, count, step):
+        sizes.append(len(first))
+        for i, m in real(first, count, step):
+            sizes.append(len(m))
+            yield i, m
+
+    monkeypatch.setattr(census, "_progressions", bounded)
+    d = _eligible(b, 1, 40)
+    expected = _multiples_by_division(b, x, d)
+    for k in (None, 0):
+        if k is not None:
+            _forced_end_digits(monkeypatch, k)
+        found = []
+        for rows, n in census._palindrome_multiples(b, 1, x, d):
+            assert len(n) <= block
+            found += zip(rows.tolist(), n.tolist())
+        assert len(found) == len(set(found))
+        assert sorted(found) == expected
+    assert 0 < max(sizes) <= block
 
 
 def _near_places(b):
@@ -285,29 +330,51 @@ INT64_MAX = 2**63 - 1
 @settings(max_examples=80)
 @given(st.integers(2, 64), st.data())
 def test_palindrome_mask_matches_scalar(b, data):
-    near = st.sampled_from(_near_places(b)).flatmap(
-        lambda v: st.integers(max(v - 3, -2), min(v + 3, INT64_MAX)))
-    # palindromes mirrored from random half-prefixes, of up to n_max digits,
-    # so below b**n_max <= 2**63
-    n_max = max(n for n in range(1, 64) if b**n <= 2**63)
-    mirrored = st.integers(1, n_max).flatmap(
-        lambda n: st.integers(b ** ((n + 1) // 2 - 1), b ** ((n + 1) // 2) - 1)
-        .map(lambda h: palindrome_from_half(h, b, n)))
+    # the inner digit test on values of one length N: at k = 0 it is
+    # is_palindrome; from pair k on, on values whose outer k pairs match
+    n_max = max(n for n in range(1, 64) if b ** (n - 1) <= INT64_MAX)
+    n_digits = data.draw(st.integers(1, n_max))
+    lo, hi = b ** (n_digits - 1), min(b**n_digits - 1, INT64_MAX)
+    m = (n_digits + 1) // 2
+    mirrored = st.integers(b ** (m - 1), b**m - 1).map(
+        lambda h: palindrome_from_half(h, b, n_digits)).filter(lambda n: n <= hi)
+    near = st.sampled_from([v for v in _near_places(b) if lo <= v <= hi] or [lo]).flatmap(
+        lambda v: st.integers(max(v - 3, lo), min(v + 3, hi)))
     values = data.draw(st.lists(st.one_of(
-        near, mirrored,
-        st.integers(INT64_MAX - 10**4, INT64_MAX),
-        st.integers(-2, 10**4),
-        st.integers(1, INT64_MAX),
+        near, mirrored, st.integers(lo, hi), st.integers(max(lo, hi - 10**4), hi),
     ), min_size=1, max_size=40))
-    mask = census._palindrome_mask(np.array(values, dtype=np.int64), b)
+    k = data.draw(st.integers(0, (n_digits - 1) // 2))
+    # the outer k digit pairs made to match, as in the kernel's candidates
+    values = [_mirror_ends(v, b, n_digits, k) for v in values]
+    mask = census._inner_palindromes(np.array(values, dtype=np.int64), b, n_digits, k)
     assert mask.tolist() == [is_palindrome(v, b) for v in values]
 
 
+def _mirror_ends(v, b, n_digits, k):
+    """v with its last k digits replaced by its first k reversed."""
+    ds = list(to_digits(v, b))  # little-endian, n_digits of them
+    for j in range(k):
+        ds[j] = ds[n_digits - 1 - j]
+    return sum(digit * b**j for j, digit in enumerate(ds))
+
+
 def test_palindrome_mask_exhaustive_small():
+    # every value of each length up to 20000 and every k, against the
+    # digits read both ways from pair k inward; at k = 0 against
+    # is_palindrome
     for b in (2, 3, 10, 64):
-        values = np.arange(-2, min(b**4, 20000) + b, dtype=np.int64)
-        expected = [is_palindrome(v, b) for v in values.tolist()]
-        assert census._palindrome_mask(values, b).tolist() == expected
+        for n_digits in range(1, 16):
+            lo, hi = b ** (n_digits - 1), min(b**n_digits, 20000 + b)
+            if lo >= hi:
+                break
+            values = np.arange(lo, hi, dtype=np.int64)
+            for k in range((n_digits - 1) // 2 + 1):
+                expected = [to_digits(v, b)[k:n_digits - k] == to_digits(v, b)[k:n_digits - k][::-1]
+                            for v in values.tolist()]
+                mask = census._inner_palindromes(values, b, n_digits, k)
+                assert mask.tolist() == expected, (b, n_digits, k)
+            assert (census._inner_palindromes(values, b, n_digits, 0).tolist()
+                    == [is_palindrome(v, b) for v in values.tolist()])
 
 
 @settings(max_examples=40)
@@ -322,9 +389,8 @@ def test_s_b_multiples_matches_stream(b, x, d_dyadic):
 # the Mobius route of a checked census: it must not read arith, so that a
 # fault there reaches only the direct count
 MOBIUS_ROUTE = ("q_star_mobius", "_mobius_census", "_primes", "_restricting_primes",
-                "_squarefree_coprime", "_mobius_plan", "_mirror", "_pair_lengths",
-                "_pair_halves", "_pair_total", "_mobius_pairs", "_pair_side", "_pair_keys",
-                "_mobius_walk", "_restricted_multiples", "_palindrome_mask")
+                "_squarefree_coprime", "_palindrome_multiples", "_end_digits",
+                "_inverse_squares", "_tops", "_progressions", "_inner_palindromes")
 
 # the square-free test of the direct side, and the generator and the cut of
 # its grids (the route reads no other streams name either)
@@ -568,7 +634,7 @@ def test_census_identity_guard(monkeypatch):
 
 
 def test_census_up_to_streams_once(monkeypatch):
-    # one pass over the grids, and one set of halves for the Mobius route
+    # one pass over the grids, and one Mobius census
     opened = []
 
     def counting(name, generator):
@@ -578,10 +644,10 @@ def test_census_up_to_streams_once(monkeypatch):
         return opens
 
     monkeypatch.setattr(census, "grids_up_to", counting("grids", grids_up_to))
-    monkeypatch.setattr(census, "_pair_halves", counting("halves", census._pair_halves))
+    monkeypatch.setattr(census, "_mobius_census", counting("mobius", census._mobius_census))
     rec = census_up_to(10, 10**4, check_identity=True)
     assert (rec.total, rec.squarefree) == (25, 24)
-    assert sorted(opened) == ["grids", "halves"]
+    assert sorted(opened) == ["grids", "mobius"]
 
 
 @pytest.mark.parametrize("b,x,total", [(10, 123456789, 4110), (3, 5 * 10**6, 762)])
@@ -609,92 +675,125 @@ def _scalar_restricted(b, n_digits, half_lo, half_hi, x):
             if (n := palindrome_from_half(h, b, n_digits)) <= x and math.gcd(n, b**3 - b) == 1]
 
 
-def _last_rows(b, x, halves, rows, lows):
-    """The halves of the last two lengths at x, trimmed to their last rows of
-    A and their last lows of B, with the count of the restricted palindromes
-    <= x among each row's sums by palindrome_from_half. The last rows are
-    those of the largest high < top / b**k whose leading digit is coprime to
-    b and whose mirror (of high * b**k) is <= x."""
+def _window_by_mirror(b, lo, hi, d):
+    """The (row, n) with n a restricted palindrome in [lo, hi] and
+    d[row]^2 | n, sorted, from palindrome_from_half over the half-prefixes
+    of [lo, hi]."""
     out = []
-    for (n_digits, top, k, _), (a, c) in zip(census._pair_lengths(b, x)[-2:],
-                                             halves[-2:]):
-        place = b ** ((n_digits + 1) // 2 - k - 1)
-        highs, high = [], -(-top // b**k) - 1
-        while len(highs) < rows and high >= place:
-            if (math.gcd(high // place, b) == 1
-                    and palindrome_from_half(high * b**k, b, n_digits) <= x):
-                highs.append(high)
-            high -= 1
-        expected = [sum(1 for low in range(max(b**k - lows, 0), b**k)
-                        if (n := palindrome_from_half(high * b**k + low, b, n_digits)) <= x
-                        and math.gcd(n, b**3 - b) == 1) for high in reversed(highs)]
-        out.append((a[-rows:], c[-lows:], expected))
-    return out
+    for n_digits in range(1, 64, 2):
+        m = (n_digits + 1) // 2
+        place = b ** (n_digits - m)
+        for h in range(max(lo // place, b ** (m - 1)), min(hi // place, b**m - 1) + 1):
+            n = palindrome_from_half(h, b, n_digits)
+            if lo <= n <= hi and math.gcd(n, b**3 - b) == 1:
+                out += [(row, n) for row, v in enumerate(d.tolist()) if n % (v * v) == 0]
+    return sorted(out)
+
+
+def _multiples_by_mirror(b, x, d):
+    """The (row, n) with n = m * d[row]^2 <= x restricted and equal to the
+    mirror of its own half-prefix, sorted; for d whose multiples are few."""
+    out = []
+    for row, v in enumerate(d.tolist()):
+        for n in range(v * v, x + 1, v * v):
+            n_digits = len(to_digits(n, b))
+            if (math.gcd(n, b**3 - b) == 1
+                    and n == palindrome_from_half(n // b ** (n_digits // 2), b, n_digits)):
+                out.append((row, n))
+    return sorted(out)
+
+
+def _last_window(b, x):
+    """[lo, x]: the last 64 half-prefixes of the length of x, or [1, x]."""
+    return max(1, x - 64 * b ** (len(to_digits(x, b)) // 2)), x
+
+
+def _edges(b):
+    """b**N - 1, b**N and b**N + 1 for every b**N + 1 < 2**63."""
+    edges, n = set(), 1
+    while b**n + 1 < 2**63:
+        edges |= {b**n - 1, b**n, b**n + 1}
+        n += 1
+    return sorted(edges)
 
 
 @pytest.mark.parametrize("b", range(2, 65))
 def test_mobius_palindromes_match_scalar_mirror(b):
-    # the palindrome total of the Mobius route at x = b**N - 1, b**N and
-    # b**N + 1 for every N below 2**63, and 2**63 - 1: every palindrome
-    # where x <= 10**6, and the last 3 rows by the last 40 lows of the last
-    # two lengths' halves everywhere
-    edges = {2**63 - 1}
-    n = 1
-    while b**n + 1 < 2**63:
-        edges |= {b**n - 1, b**n, b**n + 1}
-        n += 1
-    for x in sorted(edges):
-        halves = census._pair_halves(b, x)
+    # at x = b**N - 1, b**N and b**N + 1 for every N below 2**63: the
+    # palindrome total of the Mobius route where x <= 10**6; everywhere the
+    # kernel over the last 64 half-prefixes of the length of x, for d = 1,
+    # the small d and the d near sqrt(x), and over all of [1, x] for the d
+    # near sqrt(x), against palindrome_from_half
+    for x in _edges(b):
         if x <= 10**6:
             expected = [n for n_digits in range(1, len(to_digits(x, b)) + 1)
                         for n in _scalar_restricted(b, n_digits, b ** ((n_digits - 1) // 2),
                                                     b ** ((n_digits + 1) // 2), x)]
-            assert census._pair_total(b, x, halves) == len(expected), x
-        for a, c, expected in _last_rows(b, x, halves, 3, 40):
-            assert census._pair_total(b, x, [(a, c)]) == sum(expected), x
+            assert census._mobius_census(b, x)[0] == len(expected), x
+        lo, hi = _last_window(b, x)
+        near = _eligible(b, max(1, math.isqrt(x) - 64), math.isqrt(x))
+        d = np.concatenate([_eligible(b, 1, min(64, math.isqrt(x))), near])
+        assert _kernel_pairs(b, lo, hi, d) == _window_by_mirror(b, lo, hi, d), x
+        assert _kernel_pairs(b, 1, x, near) == _multiples_by_mirror(b, x, near), x
 
 
 @pytest.mark.parametrize("b", range(2, 65))
 def test_pair_halves_sum_to_the_restricted_palindromes(b):
-    # at x = b**N - 1, b**N and b**N + 1 up to 10**6, the sums <= x coprime
-    # to b^3 - b of each length's halves are its restricted palindromes <= x,
-    # each once; at x = 2**63 - 1 every half is at most x
-    edges, n = set(), 1
-    while b**n + 1 < 10**6:
-        edges |= {b**n - 1, b**n, b**n + 1}
-        n += 1
-    for x in sorted(edges):
-        halves = census._pair_halves(b, x)
-        assert len(halves) == (len(to_digits(x, b)) + 1) // 2
-        for n_digits, (a, c) in zip(range(1, 64, 2), halves):
-            n = (a[:, None] + c[None, :]).ravel()
-            kept = sorted(n[(n <= x) & (np.gcd(n, b**3 - b) == 1)].tolist())
-            m = (n_digits + 1) // 2
-            assert kept == _scalar_restricted(b, n_digits, b ** (m - 1), b**m, x), (x, n_digits)
+    # at x = b**N - 1, b**N and b**N + 1 up to 10**6, the d = 1 row of the
+    # kernel, whose tops pair each half-prefix with its mirrored end digits,
+    # holds each restricted palindrome <= x once, length by length
+    for x in _edges(b):
+        if x > 10**6:
+            break
+        found = [n for _, n in _kernel_pairs(b, 1, x, np.array([1]))]
+        expected = [n for n_digits in range(1, len(to_digits(x, b)) + 1, 2)
+                    for n in _scalar_restricted(b, n_digits, b ** ((n_digits - 1) // 2),
+                                                b ** ((n_digits + 1) // 2), x)]
+        assert found == sorted(expected), x
+        assert len(set(found)) == len(found)
+
+
+def test_tops_after_the_cut():
+    # the last length at x = 1.05e10 keeps the 5-digit tops 10000..10500,
+    # the last one's range cut at x; at 10**10 - 1 the 4-digit tops of 11
+    # digits run through every leading digit coprime to 10
+    x = 10_500_000_000
+    blocks = list(census._tops(10, 11, 5, 10**10, x))
+    rev = np.concatenate([r for r, _, _ in blocks])
+    low = np.concatenate([lo for _, lo, _ in blocks])
+    high = np.concatenate([hi for _, _, hi in blocks])
+    assert len(rev) == 501
+    assert rev[:3].tolist() == [1, 10001, 20001]  # rev_5 of 10000, 10001, 10002
+    assert (low[0], high[-1]) == (10**10, x)
+    assert (high[:-1] + 1 == low[1:]).all()
+    tops = np.concatenate([r for r, _, _ in census._tops(10, 11, 4, 10**10, 10**11 - 1)])
+    assert len(tops) == 4000
+
+
+def test_pair_keys_do_not_wrap():
+    # every end digit the length allows, where the residue of a (d, top)
+    # pair, rev_k(H) * d^-2 mod b**k, is a product of two numbers below b**k,
+    # and b**(2k) = b**(N-1) lies within a factor b**2 of 2**63: over the
+    # last 64 half-prefixes below 2**63 and over [2**63 - 10**6, 2**63 - 1],
+    # in every base, for d = 1, the small d and the d near sqrt(x)
     x = 2**63 - 1
-    for a, c in census._pair_halves(b, x):
-        assert a.dtype == c.dtype == np.int64
-        assert 0 < a.min() and a.max() <= x and 0 <= c.min() and c.max() <= x
-
-
-def test_pair_halves_are_balanced_after_the_cut():
-    # the last length at x = 1.05e10 keeps the half-prefixes 100000..105000:
-    # 50 rows of 100, not 5 of 1000
-    sizes = [(len(a), len(c)) for a, c in census._pair_halves(10, 10_500_000_000)]
-    assert sizes[-1] == (50, 100)
-    # the 5 half-prefix digits of a whole length split 3 + 2: 400 rows (those
-    # with a leading digit coprime to 10) of 100, not 40 of 1000
-    assert sizes[-2] == (400, 100)
+    with pytest.MonkeyPatch.context() as patch:
+        _forced_end_digits(patch, 32)
+        for b in range(2, 65):
+            near = _eligible(b, math.isqrt(x) - 64, math.isqrt(x))
+            d = np.concatenate([_eligible(b, 1, 64), near])
+            for lo, hi in (_last_window(b, x), (x - 10**6, x)):
+                assert _kernel_pairs(b, lo, hi, d) == _window_by_mirror(b, lo, hi, d), (b, lo)
 
 
 def test_restricted_batches_below_int64_limit_are_int64():
-    # the last 1..4 rows by the last 200 lows of the last two lengths' halves
-    # at x = 2**63 - 1. In 26 bases the last half-prefix tried mirrors to
-    # 2**63 or more, where int64 arithmetic wraps; a row's sums run past its
-    # last half-prefix, and in 24 bases one of them wraps. The total must
-    # not count it
+    # the window [2**63 - 10**6, 2**63 - 1], at the chosen end digits and at
+    # none, for d = 1 and the d near sqrt(x), against palindrome_from_half.
+    # In 26 bases the last half-prefix of a length mirrors to 2**63 or
+    # more, where int64 arithmetic wraps; the kernel must not reach it
     x = 2**63 - 1
-    wrapped, sums_wrap = set(), set()
+    lo = x - 10**6
+    wrapped = set()
     for b in range(2, 65):
         x_digits = len(to_digits(x, b))
         for n_digits in (x_digits - 1, x_digits):
@@ -702,21 +801,19 @@ def test_restricted_batches_below_int64_limit_are_int64():
             top = min(b**m, x // b ** (n_digits - m) + 1)
             if palindrome_from_half(top - 1, b, n_digits) > x:
                 wrapped.add(b)
-        for a, c, expected in _last_rows(b, x, census._pair_halves(b, x), 4, 200):
-            assert a.dtype == c.dtype == np.int64
-            for count in range(1, len(a) + 1):
-                assert (census._pair_total(b, x, [(a[-count:], c)])
-                        == sum(expected[-count:])), (b, count)
-            if (a[:, None] + c[None, :] < 0).any():
-                sums_wrap.add(b)
+        d = np.concatenate([[1], _eligible(b, math.isqrt(lo), math.isqrt(x))])
+        expected = _window_by_mirror(b, lo, x, d)
+        assert _kernel_pairs(b, lo, x, d) == expected, b
+        with pytest.MonkeyPatch.context() as patch:
+            _forced_end_digits(patch, 0)
+            assert _kernel_pairs(b, lo, x, d) == expected, b
     assert len(wrapped) == 26
-    assert len(sums_wrap) == 24
 
 
 def test_census_palindrome_counts_must_agree(monkeypatch):
     # grids that lose their last block (the 5-digit palindromes <= 10**5)
-    # count fewer palindromes than the halves of the Mobius route, and a
-    # total of the halves that is off by one counts one more than the grids
+    # count fewer palindromes than the Mobius route, and a d = 1 count of
+    # the kernel that is off by one counts one more than the grids
     total = census_up_to(10, 10**5).total
     real = census.grids_up_to
     monkeypatch.setattr(census, "grids_up_to", lambda b, x, r: list(real(b, x, r))[:-1])
@@ -724,7 +821,13 @@ def test_census_palindrome_counts_must_agree(monkeypatch):
     with pytest.raises(ArithmeticError, match="palindrome counts disagree"):
         census_up_to(10, 10**5)
     monkeypatch.undo()
-    real_total = census._pair_total
-    monkeypatch.setattr(census, "_pair_total", lambda b, x, halves: real_total(b, x, halves) + 1)
-    with pytest.raises(ArithmeticError, match=f"grids={total} halves={total + 1}"):
+    real_kernel = census._palindrome_multiples
+
+    def one_more(b, lo, hi, d):
+        yield from real_kernel(b, lo, hi, d)
+        ones = np.flatnonzero(d == 1)
+        yield ones, np.full(len(ones), 1, dtype=np.int64)
+
+    monkeypatch.setattr(census, "_palindrome_multiples", one_more)
+    with pytest.raises(ArithmeticError, match=f"grids={total} mobius={total + 1}"):
         census_up_to(10, 10**5)

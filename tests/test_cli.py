@@ -191,6 +191,10 @@ def test_error_exits_create_no_output_file(argv, code, tmp_path, capsys):
      "d_max must be <= sqrt(x)"),
     (["oscillate", "--count", "0"], "count must be >= 1, got 0"),
     (["oscillate", "--count", "-1"], "count must be >= 1, got -1"),
+    # a base outside [2, 64] on the Mobius route and the multiples strategy
+    (["census", "--base", "0", "--max", "100"], "base must be in [2, 64], got 0"),
+    (["census", "--base", "65", "--max", "1000000"], "base must be in [2, 64], got 65"),
+    (["sbd", "--base", "65", "--max", "1000000", "--d", "3"], "base must be in [2, 64], got 65"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
     path = tmp_path / "out"
