@@ -4,13 +4,12 @@ Everything here works on plain Python integers (exact, arbitrary precision);
 factorization, and with it the cube roots mod q, is supported below 2**127.
 squarefree_grid applies the square-free test to a grid of palindromes
 high[i] + low[j] at once (the census kernel), and with one column to a plain
-array, by dense division.
+array, finding the primes that divide each value by meet in the middle.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
@@ -311,46 +310,10 @@ def is_squarefree(n: int) -> bool:
     return m == 1 or max(_cofactor_exponents(m, count_primes=False)) == 1
 
 
-# Trial division works in blocks of about this many (value, prime) pairs,
-# grid residues or hits, and settles this many cofactors at a time, which
-# bounds its temporaries: at 2**16 a census-scan pass peaked 2-3 MB higher.
+# The hit search takes primes in blocks of about this many residues and
+# expected hits and yields their hits in runs of about this many; cofactors
+# are settled this many at a time. At 2**16 census-scan peaked 2-3 MB higher.
 _MASK_BLOCK = 1 << 14
-
-# The cost of one residue of a grid side, or of one hit, in the
-# meet-in-the-middle search against that of dividing one value by one prime.
-# The search pays it per prime on the rows + columns residues it sorts and
-# looks up and on the about #values / p hits it expands, so it is the
-# cheaper from P = _GRID_COST * #values / (#values - _GRID_COST * (rows +
-# columns)) on, and never when the sides are that large against the grid.
-# On a 2-core x86 host, timing 26 grids of 400 to 10**6 values (bases 2, 3,
-# 7, 10 and 16, restricted or not) at fixed P from 2 to all dense: the best
-# P was 2, 4 or 16 on every grid of 1000 values or more, all dense took 4 to
-# 47 times as long on those of 10**4 or more, and with a weight of 4 the
-# model's P took at most 1.3 times the best P's time, except on the smallest
-# grid (40 x 10 values: 0.15 ms against 0.10 ms dense).
-_GRID_COST = 4
-
-
-def _grid_crossover(n_rows: int, n_cols: int) -> float:
-    """The prime P from which the meet-in-the-middle search of a grid of
-    n_rows * n_cols values beats dense division (inf: never)."""
-    n_values = n_rows * n_cols
-    spare = n_values - _GRID_COST * (n_rows + n_cols)
-    return _GRID_COST * n_values / spare if spare > 0 else float("inf")
-
-
-def _dense_hits(values: np.ndarray, primes: np.ndarray):
-    """(positions, p) for every p in primes dividing a value, by dividing
-    every value by every prime, a block of at most _MASK_BLOCK pairs at a
-    time."""
-    span = max(1, min(len(values), _MASK_BLOCK))
-    step = _MASK_BLOCK // span
-    for lo in range(0, len(values), span):
-        chunk = values[lo : lo + span, None]
-        for start in range(0, len(primes), step):
-            block = primes[start : start + step]
-            rows, cols = np.nonzero(chunk % block == 0)
-            yield rows + lo, block[cols]
 
 
 def _grid_hits(high: np.ndarray, low: np.ndarray, primes: np.ndarray):
@@ -380,12 +343,17 @@ def _grid_hits(high: np.ndarray, low: np.ndarray, primes: np.ndarray):
         residues = -low % block
         cols = np.argsort(residues, axis=1)
         wanted = (np.take_along_axis(residues, cols, axis=1) + band).ravel()
+        rows, cols = rows.ravel(), cols.ravel()
         first = np.searchsorted(keys, wanted, side="left")
         counts = np.searchsorted(keys, wanted, side="right") - first
-        # the hits of wanted[w] are rows.ravel()[first[w] : first[w] + counts[w]]
-        w = np.repeat(np.arange(len(wanted)), counts)
-        at = np.arange(len(w)) - np.repeat(np.cumsum(counts) - counts - first, counts)
-        yield rows.ravel()[at] * n_low + cols.ravel()[w], block[w // n_low, 0]
+        # the hits of wanted[w] are rows[first[w] : first[w] + counts[w]],
+        # expanded in runs of `per` entries of wanted, about _MASK_BLOCK hits
+        per = max(1, _MASK_BLOCK // max(1, int(counts.max())))
+        for lo in range(0, len(wanted), per):
+            run = counts[lo : lo + per]
+            w = np.repeat(np.arange(lo, lo + len(run)), run)
+            at = np.arange(len(w)) - np.repeat(np.cumsum(run) - run - first[lo : lo + per], run)
+            yield rows[at] * n_low + cols[w], block[w // n_low, 0]
 
 
 def _square_free_after(values, hits) -> np.ndarray:
@@ -421,11 +389,11 @@ def squarefree_grid(high: np.ndarray, low: np.ndarray, coprime_to: int = 1) -> n
     row, as a flat boolean array; exact on the values coprime to coprime_to,
     whose primes are not tried.
 
-    An int64 grid is tested by the rule of is_squarefree, with the primes
-    below _grid_crossover divided into every value and those from it on
-    found by the meet-in-the-middle search of _grid_hits. An object grid
-    (values of 2**63 and above) is tested value by value, and only on the
-    values coprime to coprime_to; the others read False.
+    An int64 grid is tested by the rule of is_squarefree, with the values
+    each prime up to the cube root divides found by the meet-in-the-middle
+    search of _grid_hits. An object grid (values of 2**63 and above) is
+    tested value by value, and only on the values coprime to coprime_to;
+    the others read False.
     """
     values = (high[:, None] + low[None, :]).ravel()
     if values.dtype != np.int64:
@@ -433,9 +401,7 @@ def squarefree_grid(high: np.ndarray, low: np.ndarray, coprime_to: int = 1) -> n
                          for n in values.tolist()], dtype=bool)
     primes = _prime_table_to(_icbrt(int(values.max())))
     primes = primes[coprime_to % primes != 0]
-    split = np.searchsorted(primes, _grid_crossover(len(high), len(low)))
-    return _square_free_after(values, chain(_dense_hits(values, primes[:split]),
-                                            _grid_hits(high, low, primes[split:])))
+    return _square_free_after(values, _grid_hits(high, low, primes))
 
 
 def mobius(n: int) -> int:

@@ -412,6 +412,7 @@ def equidistribution_discrepancy(b: int, x: int, d_max: int, threads: int = 1) -
     O(N log N) per d, memory O(N) for N palindromes whatever d^2 is, so
     every d_max <= sqrt(x) is answered; threads is ignored.
     """
+    _check_base(b)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     if d_max * d_max > x:

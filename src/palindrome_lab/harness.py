@@ -136,6 +136,11 @@ class WeylVdcReport:
         return self.lhs / self.rhs
 
 
+def _check_q(d_dyadic: int, q_max: int) -> None:
+    if q_max < 1 or q_max * q_max > d_dyadic:
+        raise ValueError("need 1 <= Q <= sqrt(D)")
+
+
 def weyl_vdc_check(z: Mapping[int, complex], d_dyadic: int, q_max: int) -> WeylVdcReport:
     """Smoothed Weyl-differencing inequality for a bounded sequence z on
     [D, 2D]:
@@ -146,8 +151,7 @@ def weyl_vdc_check(z: Mapping[int, complex], d_dyadic: int, q_max: int) -> WeylV
     The psi-weighted correlations need z on [D/2, 5D/2 + Q]; missing values
     are an error.
     """
-    if q_max < 1 or q_max * q_max > d_dyadic:
-        raise ValueError("need 1 <= Q <= sqrt(D)")
+    _check_q(d_dyadic, q_max)
     lo = math.floor(d_dyadic / 2)
     hi = math.ceil(5 * d_dyadic / 2) + q_max
     missing = [d for d in range(lo, hi + 1) if d not in z]
@@ -169,6 +173,7 @@ def weyl_vdc_check(z: Mapping[int, complex], d_dyadic: int, q_max: int) -> WeylV
 def weyl_vdc_reports(d_dyadic: int, q_max: int, seed: int) -> list[tuple[str, WeylVdcReport]]:
     """weyl_vdc_check on each canonical sequence family, seeded: constant,
     random phase, linear phase, quadratic phase. Rows are (family, report)."""
+    _check_q(d_dyadic, q_max)
     rng = random.Random(seed)
     idx = range(math.floor(d_dyadic / 2), math.ceil(5 * d_dyadic / 2) + q_max + 1)
     rand = {d: cmath.exp(2j * math.pi * rng.random()) for d in idx}

@@ -261,42 +261,36 @@ INT64_VALUES = st.one_of(
 )
 
 
-MODEL_GRID_COST = arith._GRID_COST
-
-
-def squarefree_mask(values):
-    # the square-free test of a plain array by dense division alone: a grid
-    # of one column, whose crossover is inf at the model's cost (the tests
-    # that patch the cost to 0 would have it search for every prime)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arith, "_GRID_COST", MODEL_GRID_COST)
-        assert arith._grid_crossover(len(values), 1) == float("inf")
-        return squarefree_grid(values, np.zeros(1, dtype=values.dtype))
+def _one_column(values):
+    # a plain array as a grid of one column
+    return squarefree_grid(values, np.zeros(1, dtype=values.dtype))
 
 
 @given(st.lists(INT64_VALUES, min_size=1, max_size=30))
-def test_squarefree_mask_matches_scalar(values):
-    mask = squarefree_mask(np.array(values, dtype=np.int64))
+def test_squarefree_grid_one_column_matches_scalar(values):
+    mask = _one_column(np.array(values, dtype=np.int64))
     assert mask.dtype == bool
     assert mask.tolist() == [is_squarefree(n) for n in values]
 
 
-def test_squarefree_mask_exhaustive_and_wide():
+def test_squarefree_grid_one_column_exhaustive_and_wide():
     values = np.arange(1, 10**5 + 1, dtype=np.int64)
-    assert squarefree_mask(values).tolist() == [is_squarefree(int(n)) for n in values]
+    assert _one_column(values).tolist() == [is_squarefree(int(n)) for n in values]
     p, q = 2000003, 3000017
     wide = np.array([p * p * q, 2**64 + 1, 3 * 2**70], dtype=object)
-    assert squarefree_mask(wide).tolist() == [False, True, False]
+    assert _one_column(wide).tolist() == [False, True, False]
 
 
-def _kernel_against_mask(b, segment, restricted):
+def _kernel_against_scalar(b, segment, restricted):
+    # the kernel against the scalar is_squarefree on the values the blocks
+    # keep; the two share neither the hit search nor the settle step
     for high, low, keep in _grid_blocks(b, [segment], restricted):
         values = (high[:, None] + low[None, :]).ravel()
         mask = squarefree_grid(high, low, b**3 - b if restricted else 1)
-        expected = squarefree_mask(values)
         if keep is not None:
-            mask, expected = mask[keep], expected[keep]
-        assert mask.tolist() == expected.tolist(), (b, segment, restricted)
+            mask, values = mask[keep], values[keep]
+        expected = [is_squarefree(int(n)) for n in values.tolist()]
+        assert mask.tolist() == expected, (b, segment, restricted)
 
 
 def _segment_window(b, n_digits, at, size):
@@ -307,43 +301,52 @@ def _segment_window(b, n_digits, at, size):
     return n_digits, lo, min(lo + size, b**m)
 
 
-# the search for every prime (P = 0), dense division only (P = inf), and the
-# crossover of the cost model
-GRID_COSTS = pytest.mark.parametrize("grid_cost", (0, 10**9, MODEL_GRID_COST),
-                                     ids=("all-search", "all-dense", "model"))
-
-
-@GRID_COSTS
 @given(st.integers(2, 64), st.integers(1, 41), st.floats(0, 1), st.integers(1, 1000),
        st.booleans())
-def test_squarefree_grid_matches_mask_on_segments(grid_cost, b, n_digits, at, size,
-                                                  restricted):
-    # values below 2**41, so that the dense reference stays fast
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arith, "_GRID_COST", grid_cost)
-        while b**n_digits >= 2**41:
-            n_digits -= 1
-        _kernel_against_mask(b, _segment_window(b, n_digits, at, size), restricted)
+def test_squarefree_grid_matches_scalar_on_segments(b, n_digits, at, size, restricted):
+    # values below 2**41, so that the scalar reference stays fast
+    while b**n_digits >= 2**41:
+        n_digits -= 1
+    _kernel_against_scalar(b, _segment_window(b, n_digits, at, size), restricted)
 
 
-@GRID_COSTS
-def test_squarefree_grid_matches_mask_at_the_edges(monkeypatch, grid_cost):
-    monkeypatch.setattr(arith, "_GRID_COST", grid_cost)
+def test_squarefree_grid_matches_scalar_at_the_edges():
     for restricted in (False, True):
         # a long binary segment: 2**16 values in 256 x 256
-        _kernel_against_mask(2, (33, 2**16, 2**17), restricted)
+        _kernel_against_scalar(2, (33, 2**16, 2**17), restricted)
         for b in (2, 3, 10, 64):
             # the top of the longest digit length below 2**63, and of the
             # partial segment cut at 2**63 - 1 (that value itself in base 2)
             n_digits = 1
             while b ** (n_digits + 1) < 2**63:
                 n_digits += 1
-            _kernel_against_mask(b, _segment_window(b, n_digits, 1 - 1e-9, 40), restricted)
+            _kernel_against_scalar(b, _segment_window(b, n_digits, 1 - 1e-9, 40), restricted)
             cut = _segments_up_to(b, 2**63 - 1)[-1]
-            _kernel_against_mask(b, (cut[0], max(cut[1], cut[2] - 40), cut[2]), restricted)
+            _kernel_against_scalar(b, (cut[0], max(cut[1], cut[2] - 40), cut[2]), restricted)
         # a run across 2**63: the values of 2**63 and above go value by value
         h_cross = 2**63 // 10**9 + 1
-        _kernel_against_mask(10, (19, h_cross - 20, h_cross + 20), restricted)
+        _kernel_against_scalar(10, (19, h_cross - 20, h_cross + 20), restricted)
+
+
+def test_grid_hits_come_in_bounded_blocks():
+    # the unrestricted 11-digit grid of 900 x 1000 values, where 2, 3 and 5
+    # each divide more than _MASK_BLOCK values: no block of hits holds more
+    # than _MASK_BLOCK of them, or the largest run of one column and prime
+    # if that is longer, and the blocks hold every hit once
+    ((high, low, _),) = _grid_blocks(10, [(11, 10**5, 10**6)], False)
+    primes = arith._prime_table_to(arith._icbrt(int(high[-1] + low[-1])))
+    # per prime, the rows matching each column: the rows of residue -low[j]
+    runs = {p: np.bincount(high % p, minlength=p)[-low % p] for p in primes.tolist()}
+    expected = {p: int(run.sum()) for p, run in runs.items()}
+    assert min(expected[2], expected[3], expected[5]) > arith._MASK_BLOCK
+    bound = max(arith._MASK_BLOCK, max(int(run.max()) for run in runs.values()))
+    found = dict.fromkeys(expected, 0)
+    for rows, hit in arith._grid_hits(high, low, primes):
+        assert len(rows) <= bound
+        assert ((high[rows // len(low)] + low[rows % len(low)]) % hit == 0).all()
+        for p, count in zip(*np.unique(hit, return_counts=True)):
+            found[int(p)] += int(count)
+    assert found == expected
 
 
 def test_object_grid_tests_only_coprime_values(monkeypatch):
@@ -361,14 +364,6 @@ def test_object_grid_tests_only_coprime_values(monkeypatch):
     record = census._census(10, blocks, True, "max", 2**63, 0.0)
     assert calls == kept and len(kept) == 2424
     assert (record.total, record.squarefree) == (2424, 2315)
-
-
-def test_grid_crossover():
-    # a tiny grid and a single row stay dense; a larger grid searches from a
-    # small prime on
-    assert arith._grid_crossover(4, 10) == float("inf")
-    assert arith._grid_crossover(1, 1000) == float("inf")
-    assert 4 < arith._grid_crossover(400, 1000) < 5
 
 
 def test_strip_small_primes_paths_agree():

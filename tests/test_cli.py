@@ -195,6 +195,11 @@ def test_error_exits_create_no_output_file(argv, code, tmp_path, capsys):
     (["census", "--base", "0", "--max", "100"], "base must be in [2, 64], got 0"),
     (["census", "--base", "65", "--max", "1000000"], "base must be in [2, 64], got 65"),
     (["sbd", "--base", "65", "--max", "1000000", "--d", "3"], "base must be in [2, 64], got 65"),
+    # Q past sqrt(D), refused before the sequence families are built, and a
+    # negative base of the discrepancy, refused before its sieve
+    (["vdc", "--d", "200000", "--q-max", "1000"], "need 1 <= Q <= sqrt(D)"),
+    (["discrepancy", "--base", "-5", "--max", "100", "--d-max", "3"],
+     "base must be in [2, 64], got -5"),
 ])
 def test_out_of_range_input_exits_2_with_one_line(argv, message, tmp_path, capsys):
     path = tmp_path / "out"

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -53,6 +54,19 @@ def test_weyl_vdc_input_validation():
     del z[250]
     with pytest.raises(ValueError):
         weyl_vdc_check(z, 100, 5)
+
+
+def test_weyl_vdc_reports_refuse_q_before_building_families():
+    # Q = 1000 > sqrt(2 * 10**5): refused before the four families of about
+    # 5 * 10**5 values each are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="need 1 <= Q <= sqrt"):
+            weyl_vdc_reports(2 * 10**5, 1000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_weyl_vdc_campaign_envelope():
