@@ -66,6 +66,29 @@ class ExpSumParams:
             raise ValueError("modulus c must be >= 1")
 
 
+def _carmichael(factors: dict[int, int]) -> int:
+    """lambda(c), the exponent of the unit group mod c, from c's factors."""
+    lam = 1
+    for p, alpha in factors.items():
+        lam_p = 2 ** (alpha - 2) if p == 2 and alpha >= 3 else p ** (alpha - 1) * (p - 1)
+        lam = lam * lam_p // gcd(lam, lam_p)
+    return lam
+
+
+def _power_mod(x: np.ndarray, e: int, c: int) -> np.ndarray:
+    """x^e mod c elementwise by square-and-multiply, for residues 0 <= x < c
+    in an int64 array when (c - 1)^2 < 2^63, which bounds every product,
+    else in an object array of Python ints; the result has x's dtype."""
+    result = np.ones_like(x)
+    while e:
+        if e & 1:
+            result = result * x % c
+        e >>= 1
+        if e:
+            x = x * x % c
+    return result
+
+
 @lru_cache(maxsize=64)
 def _k2_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverse_squares, roots) for a modulus c >= 2, read-only arrays:
@@ -73,34 +96,27 @@ def _k2_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
     roots[j] = e(j/c) with the bits of cmath.exp(TWO_PI * 1j * j / c).
 
     x^(-2) = x^(lambda - 2) for a unit x, with lambda = lambda(c) the
-    Carmichael function, by square-and-multiply in int64 over the units
-    alone (every product is below c^2). For a purely imaginary argument
-    cmath.exp returns exp(0) * cos and exp(0) * sin of the same angle,
-    exp(0) = 1.0 exactly, so libm's cos and sin (math.cos, math.sin) of the
-    angles TWO_PI * j / c give its roots bit for bit on any platform. numpy
-    does not promise libm's bits: its own cos and sin loops may vary with
-    the CPU and the build, and its complex arithmetic forms about a fifth
-    of the angles TWO_PI * 1j * j / c differently."""
-    lam = 1
+    Carmichael function, by _power_mod over the units alone. For a purely
+    imaginary argument cmath.exp returns exp(0) * cos and exp(0) * sin of
+    the same angle, exp(0) = 1.0 exactly, so libm's cos and sin of the
+    angles TWO_PI * j / c give its roots. numpy's cos and sin compute them
+    here, which relies on numpy returning libm's bits. numpy does not
+    promise that across CPUs and builds, so
+    test_k2_tables_against_cmath_exp_and_pow pins it on every angle of every
+    c <= 3000 and of the survey moduli: a platform where numpy differs fails
+    that test instead of moving a report."""
+    factors = arith.factorize(c)
     units = np.ones(c, dtype=bool)
-    for p, alpha in arith.factorize(c).items():
-        lam_p = 2 ** (alpha - 2) if p == 2 and alpha >= 3 else p ** (alpha - 1) * (p - 1)
-        lam = lam * lam_p // gcd(lam, lam_p)
+    for p in factors:
         units[::p] = False
     x = np.flatnonzero(units)
-    squares = np.ones(len(x), dtype=np.int64)
-    power, e = x, (lam - 2) % lam
-    while e:
-        if e & 1:
-            squares = squares * power % c
-        power = power * power % c
-        e >>= 1
+    lam = _carmichael(factors)
     inverse_squares = np.full(c, -1, dtype=np.int64)
-    inverse_squares[x] = squares
-    angles = (TWO_PI * np.arange(c) / c).tolist()
+    inverse_squares[x] = _power_mod(x, (lam - 2) % lam, c)
+    angles = TWO_PI * np.arange(c) / c
     roots = np.empty(c, dtype=np.complex128)
-    roots.real = np.fromiter(map(math.cos, angles), np.float64, c)
-    roots.imag = np.fromiter(map(math.sin, angles), np.float64, c)
+    np.cos(angles, out=roots.real)
+    np.sin(angles, out=roots.imag)
     inverse_squares.flags.writeable = roots.flags.writeable = False
     return inverse_squares, roots
 
@@ -141,13 +157,7 @@ def k2_full(params: ExpSumParams) -> complex:
 def stationary_split(c: int) -> tuple[int, int]:
     """Split c into (c1, c2) with c1 = prod p^floor(a/2), c2 = prod p^ceil(a/2);
     c = c1*c2 and c1 | c2."""
-    if c < 2:
-        raise ValueError("c must be >= 2")
-    c1 = 1
-    c2 = 1
-    for p, alpha in arith.factorize(c).items():
-        c1 *= p ** (alpha // 2)
-        c2 *= p ** ((alpha + 1) // 2)
+    c1, c2, _, _, _ = _critical_plan(c)
     return c1, c2
 
 
@@ -157,18 +167,21 @@ _CRITICAL_BLOCK = 1 << 14
 
 
 @lru_cache(maxsize=64)
-def _critical_plan(c: int) -> tuple[int, int, tuple[int, ...], np.ndarray]:
-    """(c1, c2, primes, cubes) for a modulus c >= 2: the stationary split,
-    the primes of c in increasing order, and the read-only table
-    cubes[w] = wbar^3 mod c1 for the units w mod c1 (0 elsewhere), written
-    out for 0 <= w < 2*c1 so that a shift by q mod c1 is a slice: O(c1) <=
-    O(sqrt(c)) entries."""
-    c1, c2 = stationary_split(c)
+def _critical_plan(c: int) -> tuple[int, int, int, tuple[int, ...], np.ndarray]:
+    """(c1, c2, lam, primes, cubes) for a modulus c >= 2, from one
+    factorization of c: the stationary split, lam = lambda(c), the primes of
+    c in increasing order, and the read-only table cubes[w] = wbar^3 mod c1
+    for the units w mod c1 (0 elsewhere), written out for 0 <= w < 2*c1 so
+    that a shift by q mod c1 is a slice: O(c1) <= O(sqrt(c)) entries."""
+    if c < 2:
+        raise ValueError("c must be >= 2")
+    factors = arith.factorize(c)
+    c1 = math.prod(p ** (alpha // 2) for p, alpha in factors.items())
     cubes = np.array([pow(w, -3, c1) if gcd(w, c1) == 1 else 0 for w in range(c1)],
                      dtype=np.int64)
     cubes = np.concatenate([cubes, cubes])
     cubes.flags.writeable = False
-    return c1, c2, tuple(sorted(arith.factorize(c))), cubes
+    return c1, c // c1, _carmichael(factors), tuple(factors), cubes
 
 
 def _critical_residues(params: ExpSumParams, top: int):
@@ -184,7 +197,7 @@ def _critical_residues(params: ExpSumParams, top: int):
     mod c1 first, so no int64 value reaches max(top + 1, 2*c1**2), whatever
     their size.
     """
-    c1, _, primes, cubes = _critical_plan(params.c)
+    c1, _, _, primes, cubes = _critical_plan(params.c)
     # w + q = 0 (mod p) iff w = p - (q mod p), or w = 0 when p | q
     shifted = [(p, p - params.q % p) for p in primes]
     if c1 > 1:
@@ -208,21 +221,38 @@ def k2_stationary_phase(params: ExpSumParams) -> complex:
     bound. The unit conditions are checked against c (they depend only on
     the residue mod rad(c), which divides c2, so this is well defined).
 
-    Cost: a numpy filter over w <= c2 (_critical_residues), then one scalar
-    term per critical point only: exact phases in Python ints, cmath.exp and
-    a running total in increasing w. Memory: the O(c1) plan of
-    _critical_plan plus one block of _CRITICAL_BLOCK residues. No table of
-    k2_full is read, so the two routes stay independent.
+    Cost: a numpy filter over w <= c2 (_critical_residues), then per block
+    of critical points a fixed number of array operations: w and w + q
+    inverted together as x^(lambda - 1) mod c (about 2 log2(lambda) products),
+    the exact phases, their angles TWO_PI * phase / c, whose cos and sin are
+    cmath.exp(TWO_PI * 1j * phase / c) bit for bit (see _k2_tables), and one
+    np.cumsum that starts from the running total of the blocks before, so
+    the terms are added in increasing w as a plain loop adds them. The
+    arrays are int64 while (c - 1)^2 < 2^63, object arrays of Python ints
+    above. Memory: the O(c1) plan of _critical_plan plus a few arrays of
+    one block of _CRITICAL_BLOCK residues. No table of k2_full is read, so
+    the two routes stay independent.
     """
-    c, a1, a2, a3, q = params.c, params.a1, params.a2, params.a3, params.q
-    c1, c2, _, _ = _critical_plan(c)  # raises ValueError for c < 2
+    c = params.c
+    c1, c2, lam, _, _ = _critical_plan(c)  # raises ValueError for c < 2
+    a1, a2, a3, q = (v % c for v in (params.a1, params.a2, params.a3, params.q))
+    wide = (c - 1) ** 2 >= 2**63  # see _power_mod
     total = 0.0 + 0.0j
-    for block in _critical_residues(params, c2):
-        for w in block.tolist():
-            wi = pow(w, -1, c)
-            yi = pow((w + q) % c, -1, c)
-            phase = (a1 * w + a2 * wi * wi + a3 * yi * yi) % c
-            total += cmath.exp(TWO_PI * 1j * phase / c)
+    for w in _critical_residues(params, c2):
+        n = len(w)
+        if not n:
+            continue
+        if wide:
+            w = w.astype(object)
+        inverses = _power_mod(np.concatenate([w, (w + q) % c]), lam - 1, c)
+        wi, yi = inverses[:n], inverses[n:]
+        phase = (a1 * w % c + a2 * (wi * wi % c) % c + a3 * (yi * yi % c) % c) % c
+        angles = np.asarray(TWO_PI * phase / c, dtype=np.float64)
+        terms = np.empty(n + 1, dtype=np.complex128)
+        terms[0] = total
+        np.cos(angles, out=terms.real[1:])
+        np.sin(angles, out=terms.imag[1:])
+        total = complex(np.cumsum(terms)[-1])
     return total * c1 / math.sqrt(c)
 
 

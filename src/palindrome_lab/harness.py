@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -162,9 +163,14 @@ def weyl_vdc_check(z: Mapping[int, complex], d_dyadic: int, q_max: int) -> WeylV
         )
     lhs = abs(sum(z[d] for d in range(d_dyadic, 2 * d_dyadic + 1)))
     corr_total = 0.0
-    support = [d for d in range(lo, hi + 1) if PSI(d / d_dyadic) > 0.0]
+    # psi(d/D) z_d depends on d alone: one PSI call and one product per d
+    # in the support, then per shift one pass in C over it; each term is
+    # still (psi(d/D) * z_d) * conj(z_{d+shift}), added in increasing d
+    weighted = {d: psi * z[d] for d in range(lo, hi + 1) if (psi := PSI(d / d_dyadic)) > 0.0}
+    conj = {d: z[d].conjugate() for d in range(lo, hi + 1)}
     for shift in range(1, q_max + 1):
-        corr = sum(PSI(d / d_dyadic) * z[d] * z[d + shift].conjugate() for d in support)
+        shifted = map(conj.__getitem__, map(shift.__add__, weighted))
+        corr = sum(map(operator.mul, weighted.values(), shifted))
         corr_total += abs(corr)
     rhs = d_dyadic / math.sqrt(q_max) + math.sqrt(d_dyadic / q_max) * math.sqrt(corr_total)
     return WeylVdcReport(d_dyadic=d_dyadic, q_max=q_max, lhs=lhs, rhs=rhs)

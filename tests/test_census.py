@@ -233,7 +233,7 @@ def test_mobius_splits_match_the_direct_count(b, x, shift):
         assert census._mobius_census(b, x) == _direct(b, x)
 
 
-def test_mobius_plan_regimes():
+def test_end_digits_near_half_the_length():
     # per length N, k in [0, (N - 1) / 2], one k per d falling with d, and
     # b**k within a factor b of b**(N/2) / d where that lies in range
     for b in (2, 3, 10, 64):
@@ -329,7 +329,7 @@ INT64_MAX = 2**63 - 1
 
 @settings(max_examples=80)
 @given(st.integers(2, 64), st.data())
-def test_palindrome_mask_matches_scalar(b, data):
+def test_inner_palindromes_match_scalar(b, data):
     # the inner digit test on values of one length N: at k = 0 it is
     # is_palindrome; from pair k on, on values whose outer k pairs match
     n_max = max(n for n in range(1, 64) if b ** (n - 1) <= INT64_MAX)
@@ -358,7 +358,7 @@ def _mirror_ends(v, b, n_digits, k):
     return sum(digit * b**j for j, digit in enumerate(ds))
 
 
-def test_palindrome_mask_exhaustive_small():
+def test_inner_palindromes_exhaustive_small():
     # every value of each length up to 20000 and every k, against the
     # digits read both ways from pair k inward; at k = 0 against
     # is_palindrome
@@ -770,7 +770,7 @@ def test_tops_after_the_cut():
     assert len(tops) == 4000
 
 
-def test_pair_keys_do_not_wrap():
+def test_top_residues_do_not_wrap():
     # every end digit the length allows, where the residue of a (d, top)
     # pair, rev_k(H) * d^-2 mod b**k, is a product of two numbers below b**k,
     # and b**(2k) = b**(N-1) lies within a factor b**2 of 2**63: over the

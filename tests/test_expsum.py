@@ -98,8 +98,10 @@ SURVEY_MODULI = (2**12, 2**14, 3**8, 3**9, 5**6, 7**5, 11**4, 13**4,
 
 
 def test_k2_tables_against_cmath_exp_and_pow():
-    # roots: libm's cos and sin of the angle give cmath.exp's bits, compared
-    # as integers so that the sign of a zero counts too (step * j / c is
+    # roots: numpy's cos and sin of the angles, which k2_stationary_phase
+    # takes too, must give cmath.exp's bits. numpy does not promise libm's
+    # bits, so this pins them on every angle of every c here, compared as
+    # integers so that the sign of a zero counts (step * j / c is
     # TWO_PI * 1j * j / c, evaluated left to right). Inverse squares to
     # c = 2000, which covers lambda(c) = 1 and 2 (c | 24) and the halved
     # lambda of 2^a, a >= 3: pow(x, -2, c) itself to c = 300, above it the
@@ -314,7 +316,8 @@ def test_stationary_phase_negative_and_huge_arguments():
 # the stationary-phase route: it must not read k2_full or its tables, so
 # that comparing the two forms (criterion 4) compares two computations
 STATIONARY_ROUTE = ("stationary_split", "_critical_plan", "_critical_residues",
-                    "k2_stationary_phase", "count_critical_points")
+                    "k2_stationary_phase", "count_critical_points",
+                    "_carmichael", "_power_mod")
 
 
 def test_stationary_route_reads_no_direct_tables(monkeypatch):

@@ -16,6 +16,7 @@ from palindrome_lab.harness import (
     weyl_vdc_check,
     weyl_vdc_reports,
 )
+from palindrome_lab.oscillate import PSI
 
 
 def constant_sequence(d_dyadic, q_max):
@@ -67,6 +68,23 @@ def test_weyl_vdc_reports_refuse_q_before_building_families():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_weyl_vdc_evaluates_the_bump_once_per_index(monkeypatch):
+    # psi(d/D) depends on d alone: at most one PSI call per d in
+    # [D/2, 5D/2 + Q] per family, not one per d and shift
+    d_dyadic, q_max = 400, 16
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return PSI(u)
+
+    monkeypatch.setattr(harness, "PSI", counted)
+    reports = weyl_vdc_reports(d_dyadic, q_max, harness.DEFAULT_SEED)
+    span = math.ceil(5 * d_dyadic / 2) + q_max - math.floor(d_dyadic / 2) + 1
+    assert len(reports) == 4
+    assert 0 < len(calls) <= len(reports) * span
 
 
 def test_weyl_vdc_campaign_envelope():
