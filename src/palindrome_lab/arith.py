@@ -53,7 +53,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 
 
 # The primes up to 10007, the first prime above 10**4, for the scalar trial
-# division of factorize and of _strip_small_primes below 10**8.
+# division of factorize and of _mobius below 10**8.
 _SMALL_PRIMES = primes_up_to(10007)
 
 
@@ -221,38 +221,16 @@ def factorize(n: int) -> dict[int, int]:
 # squarefree / Mobius
 # ---------------------------------------------------------------------------
 
+# From this n on, _mobius finds the primes that divide n with one numpy
+# reduction over its whole prime range instead of dividing prime by prime;
+# the two cost about the same near 10**8 (≈9 µs per call on a 2-core x86
+# host), and at 10**20 the reduction takes 0.8 ms against 9 ms.
+_RESIDUE_SIEVE_FROM = 10**8
+_LIMB_BITS = 40
+
 # Trial division runs to min(n^(1/3), 10**6); a cofactor left below this
 # bound has no prime factor below its cube root, so at most two primes.
 _TWO_PRIME_COFACTOR_BOUND = 10**18
-
-
-def _cofactor_exponents(m: int, count_primes: bool) -> list[int]:
-    """Prime exponents of a cofactor m > 1 left by trial division.
-
-    Below _TWO_PRIME_COFACTOR_BOUND m is a prime, a prime square or a product
-    of two distinct primes; above it, a non-square composite is factored. A
-    perfect square reads as [2] without its root being split. Without
-    count_primes a square-free m below the bound reads as [1], which spares
-    a primality test when only square-freeness matters.
-    """
-    r = isqrt(m)
-    if r * r == m:
-        return [2]
-    if m < _TWO_PRIME_COFACTOR_BOUND:
-        if not count_primes:
-            return [1]
-        return [1] if is_probable_prime(m) else [1, 1]
-    if is_probable_prime(m):
-        return [1]
-    return list(factorize(m).values())
-
-
-# From this n on, _strip_small_primes finds the primes that divide n with
-# one numpy reduction over its whole prime range instead of dividing prime
-# by prime; the two cost about the same near 10**8 (≈9 µs per call on a
-# 2-core x86 host), and at 10**20 the reduction takes 0.8 ms against 9 ms.
-_RESIDUE_SIEVE_FROM = 10**8
-_LIMB_BITS = 40
 
 
 def _small_prime_divisors(n: int, limit: int) -> list[int]:
@@ -271,13 +249,18 @@ def _small_prime_divisors(n: int, limit: int) -> list[int]:
     return primes[r == 0].tolist()
 
 
-def _strip_small_primes(n: int) -> tuple[int, int] | None:
-    """Divide out the primes up to min(n^(1/3), 10**6) from n > 1.
+def _mobius(n: int, count_primes: bool) -> int:
+    """mu(n) for n >= 1; without count_primes only whether it is 0 is
+    meaningful.
 
-    Returns (cofactor, number of primes divided out), or None at the first
-    prime that divides n twice.
+    Each prime up to min(n^(1/3), 10**6) is divided out once, and the first
+    that divides n twice gives 0. No prime up to that bound divides the
+    cofactor m left, so a perfect square m gives 0; below
+    _TWO_PRIME_COFACTOR_BOUND m is one prime or two, told apart by a
+    primality test only with count_primes; above it _factor_into splits m,
+    without the trial division of factorize, which could find nothing.
     """
-    m, k = n, 0
+    m, mu = n, 1
     if n < _RESIDUE_SIEVE_FROM:
         candidates = _SMALL_PRIMES  # the cube root of n < 10**8 is below 465
     else:
@@ -288,26 +271,27 @@ def _strip_small_primes(n: int) -> tuple[int, int] | None:
         if m % p == 0:
             m //= p
             if m % p == 0:
-                return None
-            k += 1
-    return m, k
+                return 0
+            mu = -mu
+    if m == 1:
+        return mu
+    r = isqrt(m)
+    if r * r == m:
+        return 0
+    if m < _TWO_PRIME_COFACTOR_BOUND:
+        return -mu if not count_primes or is_probable_prime(m) else mu
+    exponents: dict[int, int] = {}
+    _factor_into(m, exponents)
+    if max(exponents.values()) > 1:
+        return 0
+    return -mu if len(exponents) & 1 else mu
 
 
 def is_squarefree(n: int) -> bool:
-    """True iff no p**2 divides n.
-
-    Strips prime factors up to the cube root (at most 10**6) and settles the
-    cofactor with _cofactor_exponents.
-    """
+    """True iff no p**2 divides n."""
     if n < 1:
         raise ValueError("is_squarefree requires n >= 1")
-    if n < 4:
-        return True
-    stripped = _strip_small_primes(n)
-    if stripped is None:
-        return False
-    m = stripped[0]
-    return m == 1 or max(_cofactor_exponents(m, count_primes=False)) == 1
+    return _mobius(n, count_primes=False) != 0
 
 
 # The hit search takes primes in blocks of about this many residues and
@@ -408,18 +392,7 @@ def mobius(n: int) -> int:
     """Mobius function: 0 on non-squarefree n, else (-1)**(number of primes)."""
     if n < 1:
         raise ValueError("mobius requires n >= 1")
-    if n == 1:
-        return 1
-    stripped = _strip_small_primes(n)
-    if stripped is None:
-        return 0
-    m, k = stripped
-    if m > 1:
-        exponents = _cofactor_exponents(m, count_primes=True)
-        if max(exponents) > 1:
-            return 0
-        k += len(exponents)
-    return -1 if k & 1 else 1
+    return _mobius(n, count_primes=True)
 
 
 def _icbrt(n: int) -> int:

@@ -35,7 +35,7 @@ from . import arith
 from .digits import _check_base
 from .digits import is_palindrome  # noqa: F401  (perfbench's recorder wraps this name)
 from .parallel import map_in_order
-from .streams import batches_up_to, count_up_to, grids_fixed_length, grids_up_to
+from .streams import batches_up_to, grids_fixed_length, grids_up_to
 
 ZETA2_INV = 6 / math.pi**2
 
@@ -351,17 +351,6 @@ def _s_b_multiples(b: int, x: int, d_lo: int, d_hi: int) -> int:
         hits += [n for _, n in _palindrome_multiples(b, 1, x, d)]
     # one n may have several qualifying d
     return len(np.unique(np.concatenate(hits))) if hits else 0
-
-
-def s_b_costs(b: int, x: int, d_dyadic: int) -> tuple[int, int]:
-    """Probe counts of the two S_b strategies, (stream, multiples): every
-    palindrome <= x against each of the D + 1 squares, and every multiple of
-    each d^2 <= x (an upper bound on the candidates of the multiples
-    strategy, a subset of those multiples)."""
-    cost_stream = count_up_to(b, x) * (d_dyadic + 1)
-    cost_multiples = sum(x // (d * d) + 1
-                         for d in range(d_dyadic, min(2 * d_dyadic, isqrt(x)) + 1))
-    return cost_stream, cost_multiples
 
 
 def s_b(b: int, x: int, d_dyadic: int, strategy: str) -> int:

@@ -26,7 +26,7 @@ CRITICAL_POINT_C_CAP = 10**4  # largest modulus fit_critical_point_bound visits
 
 
 # A campaign refuses a census point with more palindromes, or an s_b point
-# with more probes (s_b_costs), than these.
+# with more stream probes (_s_b_counts), than these.
 MAX_PALINDROMES = 10**9
 MAX_PROBES = 10**8
 
@@ -64,11 +64,14 @@ def _make_fit(label, grid, observed, notes=()):
 # ---------------------------------------------------------------------------
 
 def _s_b_counts(b, points):
-    # S_b(x, D) per (x, D) point by strategy="both", which pays for both
-    # strategies; the budget is checked right before each point is counted
+    # S_b(x, D) per (x, D) point by strategy="both"; the budget, checked
+    # right before each point is counted, is the stream strategy's probes:
+    # every palindrome <= x against each d^2, d in [D, min(2D, isqrt(x))].
+    # The multiples kernel costs about sqrt(x) log x whatever D is
     def count(point):
         x, d_dyadic = point
-        if sum(census.s_b_costs(b, x, d_dyadic)) > MAX_PROBES:
+        squares = max(0, min(2 * d_dyadic, math.isqrt(x)) - d_dyadic + 1)
+        if count_up_to(b, x) * squares > MAX_PROBES:
             raise BudgetExceededError(f"s_b probe budget exceeded at x={x}, D={d_dyadic}")
         return census.s_b(b, x, d_dyadic, strategy="both")
 

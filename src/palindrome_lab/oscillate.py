@@ -373,18 +373,11 @@ def _sample(fn, a, b, n):
 
 
 def _count_monotone_pieces(values: np.ndarray, slack: float) -> int:
+    # a step within slack of 0 is flat and ends no piece; a new piece starts
+    # wherever the sign of the other steps changes
     d = np.diff(values)
-    signs = [1 if v > slack else -1 if v < -slack else 0 for v in d]
-    pieces, current = 1, 0
-    for s in signs:
-        if s == 0:
-            continue
-        if current == 0:
-            current = s
-        elif s != current:
-            pieces += 1
-            current = s
-    return pieces
+    signs = np.sign(d[np.abs(d) > slack])
+    return 1 + int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def _check_bound(spec: PhaseSpec, label: str, k_pieces: int, phase_derivative,

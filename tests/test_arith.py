@@ -231,6 +231,21 @@ def test_squarefree_and_mobius_above_1e18():
     assert mobius(p * q) == 1
 
 
+def test_wide_cofactors_settle_without_factorize(monkeypatch):
+    # no prime up to 10**6 divides the cofactor left above 10**18, so it is
+    # split without factorize's trial division
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    p, q, r = WIDE_PRIMES[1:4]
+    assert p * p * q > 10**18 and p * q * r > 10**18
+    assert not is_squarefree(p * p * q)
+    assert mobius(p * p * q) == 0
+    assert is_squarefree(p * q * r)
+    assert mobius(p * q * r) == -1
+
+
 @given(st.lists(st.sampled_from(WIDE_PRIMES), min_size=3, max_size=5))
 def test_squarefree_mobius_wide_products(primes):
     n = math.prod(primes)

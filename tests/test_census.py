@@ -182,7 +182,7 @@ def _forced_end_digits(monkeypatch, k):
 
 
 @pytest.mark.parametrize("b,x", [(10, 10**5), (2, 2 * 10**4), (3, 10**4)])
-def test_mobius_walk_at_every_crossover(b, x):
+def test_multiples_kernel_from_every_segment_start(b, x):
     # the kernel over the d of each segment [lo, sqrt(x)] (the segments of
     # _mobius_census need not start at 1) against mu(d) * N_d(x) summed from
     # the palindromes themselves
@@ -274,7 +274,7 @@ def test_census_catches_a_dropped_candidate(monkeypatch):
 
 
 @pytest.mark.parametrize("b,x", [(3, 10**7), (7, 10**8), (10, 10**9)])
-def test_mobius_pairs_in_runs_of_a_few_pairs(monkeypatch, b, x):
+def test_multiples_kernel_in_blocks_of_a_few(monkeypatch, b, x):
     # with _BLOCK at 3 the (d, top) pairs and their candidates come a few at
     # a time: d = 1 alone has some thousand tops at each length here
     d = _eligible(b, 1, 30)
@@ -469,15 +469,6 @@ def test_s_b_stops_d_at_sqrt_x(strategy):
     start = time.perf_counter()
     assert s_b(10, 10**6, 10**12, strategy) == 0
     assert time.perf_counter() - start < 1
-
-
-def test_s_b_costs_stop_d_at_sqrt_x():
-    start = time.perf_counter()
-    costs = census.s_b_costs(10, 10**6, 10**12)
-    assert time.perf_counter() - start < 1
-    assert costs == (streams.count_up_to(10, 10**6) * (10**12 + 1), 0)
-    # the probes of the d <= sqrt(x) still count
-    assert census.s_b_costs(10, 100, 9)[1] == 100 // 81 + 1 + 100 // 100 + 1
 
 
 def test_s_b_bounded_by_total():

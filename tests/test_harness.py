@@ -117,11 +117,22 @@ def test_fit_prop1_budget_guard(monkeypatch):
     monkeypatch.setattr(harness, "MAX_PROBES", 10)
     with pytest.raises(BudgetExceededError):
         fit_prop1(10, [10**8], [10**3])
-    # strategy="both" pays for both strategies: 21,978 + 56,404 probes here,
-    # while the cheaper one alone fits the budget
-    monkeypatch.setattr(harness, "MAX_PROBES", 30000)
+    # only the stream strategy's probes count: the 1,998 palindromes below
+    # 10**6 against the 11 squares of d = 10..20 make 21,978, and the
+    # multiples kernel adds nothing to the budget
+    monkeypatch.setattr(harness, "MAX_PROBES", 21978)
+    assert fit_prop1(10, [10**6], [10]).grid == ((10**6, 10),)
+    monkeypatch.setattr(harness, "MAX_PROBES", 21977)
     with pytest.raises(BudgetExceededError):
         fit_prop1(10, [10**6], [10])
+
+
+def test_fit_prop1_budget_takes_cheap_points():
+    # 199,998 palindromes against the 31 squares of d = 30..60, about 6.2
+    # million probes; the multiples of those d^2 below 10**10 number about
+    # 174 million, which the kernel never walks
+    fit = fit_prop1(10, [10**10], [30])
+    assert fit.grid == ((10**10, 30),) and len(fit.observed) == 1
 
 
 def test_fit_prop2_prop3_windows():

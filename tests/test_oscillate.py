@@ -5,6 +5,8 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from palindrome_lab import oscillate
 from palindrome_lab.oscillate import (
@@ -232,6 +234,30 @@ def test_first_derivative_bound_rejections():
                             g=lambda x: 1.0, a=-1.0, b=1.0, amp_bound=1.0)
     with pytest.raises(RejectedSpecError):
         check_first_derivative_bound(sign_change, 0.5)
+
+
+def _monotone_pieces_by_loop(values, slack):
+    # the step-by-step count: flat steps skipped, a new piece at each change
+    # of the sign of the others
+    pieces, current = 1, 0
+    for v in np.diff(values):
+        s = 1 if v > slack else -1 if v < -slack else 0
+        if s == 0:
+            continue
+        if current == 0:
+            current = s
+        elif s != current:
+            pieces += 1
+            current = s
+    return pieces
+
+
+@given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, -1e-13, 0.0, 0.0, 1e-13, 0.5, 1.0, 2.0]),
+                max_size=60),
+       st.sampled_from([0.0, 1e-12, 0.5, 1.0, 1.5, 3.0]))
+def test_monotone_pieces_match_the_loop(steps, slack):
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    assert oscillate._count_monotone_pieces(values, slack) == _monotone_pieces_by_loop(values, slack)
 
 
 def test_second_derivative_bound_fresnel():
