@@ -123,6 +123,10 @@ def _k2_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
 
 K2_DIRECT_LIMIT = 2 * 10**6
 
+# k2_full walks x mod c in blocks of this many values, which bounds its
+# temporaries; every modulus to 10^4 (those of verify-all) is one block
+_K2_BLOCK = 1 << 14
+
 
 def k2_full(params: ExpSumParams) -> complex:
     """Direct O(c) evaluation of K2; phases reduced mod c in exact integers.
@@ -130,9 +134,11 @@ def k2_full(params: ExpSumParams) -> complex:
     The arguments are reduced mod c first and the tables hold the inverse
     squares themselves, so a term's phase a1 x + a2 xbar^2 + a3 ybar^2 is
     a sum of three int64 products each below c^2, reduced by one % c; the
-    sum stays below 3c^2 <= 1.2*10**13. The roots of unity are added from
-    x = 0 upwards, each to the running total (np.cumsum, not the pairwise
-    np.sum), which gives the bits of a plain Python loop.
+    sum stays below 3c^2 <= 1.2*10**13. x runs from 0 up in blocks of
+    _K2_BLOCK values; a block's roots of unity are added to the running
+    total by one np.cumsum (not the pairwise np.sum) that starts from it,
+    which gives the bits of a plain Python loop. Memory: the tables of
+    _k2_tables plus a few arrays of one block.
     """
     c = params.c
     if c > K2_DIRECT_LIMIT:
@@ -144,13 +150,24 @@ def k2_full(params: ExpSumParams) -> complex:
         return 1.0 + 0.0j
     a1, a2, a3, q = (v % c for v in (params.a1, params.a2, params.a3, params.q))
     squares, roots = _k2_tables(c)
-    # y = x + q; its inverse square is squares[(x + q) mod c]
-    sy = np.roll(squares, -q)
-    x = np.flatnonzero((squares >= 0) & (sy >= 0))
-    phase = (a1 * x + a2 * squares[x] + a3 * sy[x]) % c
-    terms = np.zeros(len(x) + 1, dtype=np.complex128)
-    terms[1:] = roots[phase]
-    total = complex(np.cumsum(terms)[-1])
+    size = min(c, _K2_BLOCK)
+    sy = np.empty(size, dtype=np.int64)
+    terms = np.empty(size + 1, dtype=np.complex128)
+    total = 0.0 + 0.0j
+    for s in range(0, c, size):
+        m = min(size, c - s)
+        # y = x + q; its inverse squares are the m entries of the table from
+        # (s + q) mod c, which wrap past c at most once
+        t = (s + q) % c
+        np.concatenate((squares[t : t + m], squares[: max(0, t + m - c)]), out=sy[:m])
+        sx = squares[s : s + m]
+        x = np.flatnonzero((sx | sy[:m]) >= 0)  # -1 marks a non-unit
+        n = len(x)
+        phase = (a1 * (x + s) + a2 * sx[x] + a3 * sy[x]) % c
+        terms[0] = total
+        np.take(roots, phase, out=terms[1 : n + 1])
+        np.cumsum(terms[: n + 1], out=terms[: n + 1])
+        total = complex(terms[n])
     return total / math.sqrt(c)
 
 

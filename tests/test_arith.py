@@ -381,7 +381,7 @@ def test_object_grid_tests_only_coprime_values(monkeypatch):
     assert (record.total, record.squarefree) == (2424, 2315)
 
 
-def test_strip_small_primes_paths_agree():
+def test_small_prime_divisors_walk_and_reduction_agree():
     # the prime-by-prime walk below _RESIDUE_SIEVE_FROM and the numpy
     # reduction above it, run on the same values
     rng = random.Random(7)

@@ -2,6 +2,7 @@ import ast
 import cmath
 import math
 import random
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
@@ -63,15 +64,65 @@ def sequential_k2(a1, a2, a3, q, c):
     return total / math.sqrt(c)
 
 
-@pytest.mark.parametrize(
-    "c", (1, 2, 3, 4, 8, 97, 486, 2048, 2**12, 2**14, 30030, 5**3 * 7**3))
+BLOCK = expsum._K2_BLOCK
+
+
+@pytest.mark.parametrize("c", dict.fromkeys(
+    (1, 2, 3, 4, 8, 97, 486, 2048, 2**12, 2**14, 30030, 5**3 * 7**3,
+     BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 13**4)))
 def test_k2_full_equals_sequential_sum(c):
     # reduced mod c before any int64 product and summed in loop order, the
-    # vectorised sum keeps every bit, with arguments far above c
+    # vectorised sum keeps every bit, with arguments far above c. Besides
+    # random q: q = 0 and q = -1 mod c, and a q whose wrap of y = x + q past
+    # c, at x = c - q = wrap (odd, so no block starts there), falls inside a
+    # block of x
     rng = random.Random(c)
-    for _ in range(2 if c > 10**4 else 6):
+    wrap = c // 2 | 1
+    for q in (None,) * (2 if c > 10**4 else 6) + (0, -1, -wrap):
         args = [rng.randrange(-10**15, 10**15) for _ in range(4)]
+        if q is not None:
+            args[3] = q + c * rng.randrange(-10**9, 10**9)
         assert k2_full(ExpSumParams(*args, c)) == sequential_k2(*args, c), args
+
+
+def test_k2_full_memory_is_bounded():
+    # a warm call at c = 3^12 holds a few arrays of one block besides the
+    # tables (about 12 MB, built before tracing starts), not arrays of c
+    c = 3**12
+    params = ExpSumParams(2, 3, -3, 5, c)
+    try:
+        k2_full(params)
+        tracemalloc.start()
+        try:
+            k2_full(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        expsum._k2_tables.cache_clear()
+    assert peak <= 1 << 20, peak
+
+
+# k2_full at the top of the direct domain, recorded as float.hex while it
+# summed all of x mod c in one np.cumsum: c = 3^13 (K2 about 1.7e-14, pure
+# cancellation, so any change in the order of the additions moves it) and
+# the largest prime below K2_DIRECT_LIMIT
+TOP_OF_THE_DIRECT_DOMAIN = {
+    (1, 2, -2, 1, 3**13): ("-0x1.3230c28e4eb76p-46", "-0x1.40525e608d6edp-52"),
+    (3, 5, -5, 7, 3**13): ("-0x1.3adb3448f1c2bp-46", "-0x1.f44673425d1c3p-51"),
+    (1, 2, -2, 1, 1999993): ("0x1.d8c78dd1e0d1ep-1", "-0x1.855bd8cef59ecp-20"),
+    (3, 5, -5, 7, 1999993): ("0x1.68133df00c142p-1", "-0x1.8535b7074a66ap-16"),
+}
+
+
+def test_k2_full_at_the_top_of_the_direct_domain():
+    assert max(args[-1] for args in TOP_OF_THE_DIRECT_DOMAIN) < expsum.K2_DIRECT_LIMIT
+    try:
+        for args, (real, imag) in TOP_OF_THE_DIRECT_DOMAIN.items():
+            value = k2_full(ExpSumParams(*args))
+            assert (value.real.hex(), value.imag.hex()) == (real, imag), args
+    finally:
+        expsum._k2_tables.cache_clear()  # about 40 MB of tables
 
 
 def test_sequential_comparison_sees_one_ulp(monkeypatch):

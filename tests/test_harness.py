@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 import random
 import tracemalloc
 
@@ -85,6 +86,47 @@ def test_weyl_vdc_evaluates_the_bump_once_per_index(monkeypatch):
     span = math.ceil(5 * d_dyadic / 2) + q_max - math.floor(d_dyadic / 2) + 1
     assert len(reports) == 4
     assert 0 < len(calls) <= len(reports) * span
+
+
+def python_vdc(z, d_dyadic, q_max):
+    # the correlations as Python adds them: psi(d/D) z_d once per d, then per
+    # shift the complex products summed one by one from 0 by sum()
+    lo = math.floor(d_dyadic / 2)
+    hi = math.ceil(5 * d_dyadic / 2) + q_max
+    lhs = abs(sum(z[d] for d in range(d_dyadic, 2 * d_dyadic + 1)))
+    weighted = {d: psi * z[d] for d in range(lo, hi + 1) if (psi := PSI(d / d_dyadic)) > 0.0}
+    conj = {d: z[d].conjugate() for d in range(lo, hi + 1)}
+    corr_total = 0.0
+    for shift in range(1, q_max + 1):
+        shifted = map(conj.__getitem__, map(shift.__add__, weighted))
+        corr_total += abs(sum(map(operator.mul, weighted.values(), shifted)))
+    rhs = d_dyadic / math.sqrt(q_max) + math.sqrt(d_dyadic / q_max) * math.sqrt(corr_total)
+    return lhs, rhs
+
+
+def test_weyl_vdc_matches_the_python_sum(monkeypatch):
+    # bit for bit, on the four families and on sequences with signed zeros
+    # and plain floats; a pairwise sum of the products moves the last bits
+    sequences = []
+    check = harness.weyl_vdc_check
+
+    def recorded(z, d_dyadic, q_max):
+        sequences.append((z, d_dyadic, q_max))
+        return check(z, d_dyadic, q_max)
+
+    monkeypatch.setattr(harness, "weyl_vdc_check", recorded)
+    for d_dyadic, q_max in ((2048, 40), (129, 11)):
+        weyl_vdc_reports(d_dyadic, q_max, harness.DEFAULT_SEED)
+    assert len(sequences) == 8
+    rng = random.Random(27)
+    idx = range(1024, 5120 + 40 + 1)
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+    sequences.append(({d: complex(rng.choice(parts), rng.choice(parts)) for d in idx}, 2048, 40))
+    sequences.append(({d: rng.uniform(-1.0, 1.0) for d in idx}, 2048, 40))
+    for z, d_dyadic, q_max in sequences:
+        rep = check(z, d_dyadic, q_max)
+        lhs, rhs = python_vdc(z, d_dyadic, q_max)
+        assert (rep.lhs.hex(), rep.rhs.hex()) == (lhs.hex(), rhs.hex()), (d_dyadic, q_max)
 
 
 def test_weyl_vdc_campaign_envelope():
