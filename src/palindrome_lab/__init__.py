@@ -2,7 +2,6 @@
 and oscillatory-integral verification experiments."""
 
 from .arith import (
-    crt_combine,
     factorize,
     is_probable_prime,
     is_squarefree,

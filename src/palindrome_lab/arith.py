@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, factorization, Mobius, cube roots, CRT.
+"""Exact integer arithmetic: primality, factorization, Mobius, cube roots.
 
 Everything here works on plain Python integers (exact, arbitrary precision);
 factorization, and with it the cube roots mod q, is supported below 2**127.
@@ -405,25 +405,6 @@ def _icbrt(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# CRT
-# ---------------------------------------------------------------------------
-
-def crt_combine(residues: list[tuple[int, int]]) -> tuple[int, int]:
-    """Combine pairwise-coprime congruences (r_i, m_i) into one mod prod(m_i)."""
-    r, m = 0, 1
-    for ri, mi in residues:
-        if mi < 1:
-            raise ValueError("moduli must be positive")
-        if gcd(m, mi) != 1:
-            raise ValueError(f"moduli not pairwise coprime: gcd({m},{mi}) > 1")
-        # r' = r (mod m), r' = ri (mod mi)
-        t = (ri - r) * pow(m, -1, mi) % mi
-        r += m * t
-        m *= mi
-    return r % m, m
-
-
-# ---------------------------------------------------------------------------
 # cube roots (unit solutions of w**3 = a mod q)
 # ---------------------------------------------------------------------------
 
@@ -509,8 +490,7 @@ def _crt_plan(q: int) -> tuple[tuple[int, int, int, int], ...]:
     plan = []
     for p, alpha in factorize(q).items():
         pa = p**alpha
-        e, _ = crt_combine([(1, pa), (0, q // pa)])
-        plan.append((p, alpha, pa, e))
+        plan.append((p, alpha, pa, q // pa * pow(q // pa, -1, pa)))
     return tuple(plan)
 
 

@@ -171,13 +171,6 @@ def k2_full(params: ExpSumParams) -> complex:
     return total / math.sqrt(c)
 
 
-def stationary_split(c: int) -> tuple[int, int]:
-    """Split c into (c1, c2) with c1 = prod p^floor(a/2), c2 = prod p^ceil(a/2);
-    c = c1*c2 and c1 | c2."""
-    c1, c2, _, _, _ = _critical_plan(c)
-    return c1, c2
-
-
 # _critical_residues walks w in int64 blocks of this many residues, which
 # bounds its temporaries whatever the size of c2
 _CRITICAL_BLOCK = 1 << 14

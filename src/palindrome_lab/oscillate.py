@@ -305,9 +305,6 @@ class OscillatoryResult:
     error: float
     panels: int
 
-    def __abs__(self) -> float:
-        return abs(self.value)
-
 
 def pairwise_sum(values):
     """Sum by balanced pairwise reduction (deterministic float association)."""
@@ -364,7 +361,6 @@ class BoundCheckReport:
     label: str
     observed: float
     bound: float
-    quadrature_error: float
     passed: bool
 
 
@@ -398,7 +394,7 @@ def _check_bound(spec: PhaseSpec, label: str, k_pieces: int, phase_derivative,
     result = oscillatory_integral(spec)
     observed = abs(result.value)
     passed = observed <= bound + result.error + 1e-12
-    return BoundCheckReport(label, observed, bound, result.error, passed)
+    return BoundCheckReport(label, observed, bound, passed)
 
 
 def check_first_derivative_bound(spec: PhaseSpec, m: float) -> BoundCheckReport:

@@ -56,8 +56,32 @@ def test_criterion_1_fails_on_squarefree_kernel_fault(monkeypatch):
     assert "b=3,x=1000:mobius census identity failed" in result.detail
 
 
+def test_criterion_1_fails_on_empty_censuses(monkeypatch):
+    # no grids and no Mobius terms: both sides count 0 and agree
+    monkeypatch.setattr(census, "grids_up_to", lambda b, x, restricted: iter(()))
+    monkeypatch.setattr(census, "_mobius_census", lambda b, x: (0, 0))
+    result = acceptance.criterion_mobius_identity(quick=True)
+    assert "b=2,x=1000:0 " in result.detail
+    assert result.passed is False
+
+
 def test_criterion_2_density_convergence():
     _run(acceptance.criterion_density_convergence)
+
+
+def test_criterion_2_fails_on_mobius_sum_off_by_one(monkeypatch):
+    # the density gates read only the direct count; the Mobius side must
+    # still be compared with it
+    real = census._mobius_census
+
+    def off_by_one(b, x):
+        total, summed = real(b, x)
+        return total, summed + 1
+
+    monkeypatch.setattr(census, "_mobius_census", off_by_one)
+    result = acceptance.criterion_density_convergence(quick=True)
+    assert result.passed is False
+    assert "mobius census identity failed at b=10, x=100:" in result.detail
 
 
 def test_criterion_2_fails_on_shifted_density(monkeypatch):
@@ -104,6 +128,15 @@ def test_criterion_4_fails_on_shifted_stationary_phase(monkeypatch):
     monkeypatch.setattr(expsum, "k2_stationary_phase",
                         lambda params: real(params) + 2e-9 * math.sqrt(params.c))
     assert not acceptance.criterion_stationary_phase_identity(quick=True).passed
+
+
+def test_criterion_4_fails_when_both_forms_vanish(monkeypatch):
+    # two forms that return 0 agree to the last bit and check nothing
+    monkeypatch.setattr(expsum, "k2_full", lambda params: 0j)
+    monkeypatch.setattr(expsum, "k2_stationary_phase", lambda params: 0j)
+    result = acceptance.criterion_stationary_phase_identity(quick=True)
+    assert "worst_scaled_diff=0" in result.detail
+    assert result.passed is False
 
 
 def test_criterion_5_oscillatory_constants():
@@ -183,6 +216,14 @@ def test_criterion_9_fails_on_inflated_q_average(monkeypatch):
     assert not acceptance.criterion_averaged_k2_stability(quick=True).passed
 
 
+def test_criterion_9_fails_on_zero_q_averages(monkeypatch):
+    # C' = 0 at every N satisfies max <= 1.25 * first
+    monkeypatch.setattr(expsum, "k2_q_average", lambda m, a, q_max, c: 0.0)
+    result = acceptance.criterion_averaged_k2_stability(quick=True)
+    assert result.detail == "N=8:C'=0 N=10:C'=0"
+    assert result.passed is False
+
+
 def test_criterion_10_determinism():
     _run(acceptance.criterion_determinism)
 
@@ -200,6 +241,13 @@ def test_criterion_10_fails_on_payload_that_changes(monkeypatch):
     assert acceptance.criterion_determinism(rendered="run 3\n").passed is True
     assert acceptance.criterion_determinism(rendered="run 3\n").passed is False
     assert calls == [True] * 4
+
+
+def test_criterion_10_fails_on_empty_payload(monkeypatch):
+    monkeypatch.setattr(acceptance, "report_payload", lambda quick=True: "")
+    result = acceptance.criterion_determinism()
+    assert result.detail == "bytes=0 identical=yes"
+    assert result.passed is False
 
 
 REFERENCE_CSV = (Path(__file__).resolve().parents[1]

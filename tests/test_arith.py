@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from palindrome_lab import arith, census
 from palindrome_lab.arith import (
-    crt_combine,
     factorize,
     is_probable_prime,
     is_squarefree,
@@ -649,28 +648,15 @@ def test_cubic_bound_small():
         assert max(counts.values()) <= allowed, q
 
 
-def test_crt_examples():
-    assert crt_combine([(1, 3), (2, 5)]) == (7, 15)
-    assert crt_combine([(0, 2)]) == (0, 2)
-    r, m = crt_combine([(2, 7), (3, 11), (5, 13)])
-    assert m == 1001
-    expected = [v for v in range(1001) if v % 7 == 2 and v % 11 == 3 and v % 13 == 5]
-    assert [r] == expected
-    with pytest.raises(ValueError):
-        crt_combine([(1, 6), (2, 4)])
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 10**6), st.sampled_from((3, 5, 7, 11, 13, 16))),
-        min_size=1,
-        max_size=4,
-        unique_by=lambda t: t[1],
-    )
-)
-def test_crt_property(pairs):
-    r, m = crt_combine(pairs)
-    assert 0 <= r < m
-    for ri, mi in pairs:
-        assert r % mi == ri % mi
+def test_crt_plan_idempotents():
+    # e_i = 1 mod p_i**alpha_i and 0 mod the other prime powers, so that the
+    # roots mod the prime powers glue to one root mod q
+    for q in [*range(2, 3000), 2**126 + 1, 3**40 * 5**20, 10**18 + 9]:
+        plan = arith._crt_plan(q)
+        assert math.prod(pa for _, _, pa, _ in plan) == q
+        for p, alpha, pa, e in plan:
+            assert pa == p**alpha
+            assert 0 <= e < q
+            assert e % pa == 1
+            assert e % (q // pa) == 0
 

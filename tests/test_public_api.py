@@ -1,6 +1,8 @@
-"""Every name the package re-exports is read by the code that reproduces the
-paper: the library itself, the scripts or the benchmark. A name only tests
-read is not public API; it goes, and this test keeps it from coming back."""
+"""Every public module-level name of the package (a function, class or
+constant without a leading underscore, re-exported or not) is read by the
+code that reproduces the paper: the library itself, the scripts or the
+benchmark. A name only tests read is not public API; it goes, and this test
+keeps it from coming back."""
 
 import ast
 from pathlib import Path
@@ -9,12 +11,21 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "palindrome_lab"
 
 
-def _reexports():
-    """(name, defining module path) for each `from .x import name` of __init__.py."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [(alias.asname or alias.name, PACKAGE / f"{node.module}.py")
-            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names]
+def _public_names():
+    """(name, defining module path) for each top-level function, class or
+    assigned name without a leading underscore in the package's modules."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(name, path) for name in names if not name.startswith("_")]
+    return found
 
 
 def _references(path: Path, skip: str | None = None) -> set[str]:
@@ -35,15 +46,15 @@ def _references(path: Path, skip: str | None = None) -> set[str]:
     return found
 
 
-def test_every_reexport_is_read_outside_tests():
+def test_every_public_name_is_read_outside_tests():
     outside = set()
     for path in [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
         outside |= _references(path)
-    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    inside = {path: _references(path) for path in PACKAGE.glob("*.py")}
     unread = []
-    for name, home in _reexports():
-        if name in outside:
+    for name, home in _public_names():
+        if name in outside or any(name in refs for p, refs in inside.items() if p != home):
             continue
-        if not any(name in _references(p, skip=name if p == home else None) for p in modules):
+        if name not in _references(home, skip=name):
             unread.append(f"{home.stem}.{name}")
-    assert not unread, f"re-exported but read only by tests: {unread}"
+    assert not unread, f"public but read only by tests: {unread}"
